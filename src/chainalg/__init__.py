@@ -72,6 +72,6 @@ from .verma import (
     truncated_interior_norm_check,
     vacuum,
 )
-from .cli import ExprSyntaxError, main, parse, run
+from .cli import ExprSyntaxError, main, parse
 
 __all__ = [name for name in dir() if not name.startswith("_")]

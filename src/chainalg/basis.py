@@ -11,11 +11,17 @@ Rewriting a generator into either basis uses finite substitution
 identities that leave the action on every chain unchanged; rewriting
 into b4 recurses, stripping leading or trailing 1-blocks, and the
 recursion depth is bounded by the total index size plus two.
+
+Basis b0 is invariant under chain reversal (mirror_gen), so its
+right-end substitutions are the mirror images of the left-end ones.
+Basis b4 is not: it keeps every left-end operator with an empty
+sequence, but drops a right-end one with flavor pair (1,1) when both
+sequences are empty or the nonempty one starts with 1 (l(1,1)[|1] is in
+b4, r(1,1)[|1] is not).  Its rules stay written out in full.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .core import (
@@ -26,10 +32,14 @@ from .core import (
     Combination,
     Element,
     Generator,
+    all_seqs,
     gen_f,
     gen_l,
     gen_r,
     gen_s,
+    mirror,
+    mirror_gen,
+    run_length,
 )
 
 
@@ -68,6 +78,11 @@ _B0_CACHE: dict = {}
 
 
 def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
+    if g.kind == KIND_R or (
+        g.kind == KIND_F and g.flavors[:2] == (1, 1) and g.flavors[2:] != (1, 1)
+    ):
+        # (1,1) pair at the right end only: mirror image of the left-end case
+        return mirror(_b0_expand(mirror_gen(g), params))
     up, lo = g.upper, g.lower
     colors, flavors = params.color_range(), params.flavor_range()
     items = []
@@ -76,53 +91,43 @@ def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
         items.append((gen_s(up, lo), 1))
         items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
         items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
-    elif g.kind == KIND_R:
-        items.append((gen_s(up, lo), 1))
-        items += [(gen_s(up + (j,), lo + (j,)), -1) for j in colors]
-        items += [(gen_r(m, m, up, lo), -1) for m in flavors if m >= 2]
+    elif g.flavors[:2] != (1, 1):
+        # whole-chain operator, right flavor pair (1,1) only
+        l1, l2 = g.flavors[:2]
+        items.append((gen_l(l1, l2, up, lo), 1))
+        items += [(gen_l(l1, l2, up + (j,), lo + (j,)), -1) for j in colors]
+        items += [(gen_f(l1, l2, m, m, up, lo), -1) for m in flavors if m >= 2]
     else:
-        l1, l2, l3, l4 = g.flavors
-        left_unit = (l1, l2) == (1, 1)
-        right_unit = (l3, l4) == (1, 1)
-        if right_unit and not left_unit:
-            items.append((gen_l(l1, l2, up, lo), 1))
-            items += [(gen_l(l1, l2, up + (j,), lo + (j,)), -1) for j in colors]
-            items += [(gen_f(l1, l2, m, m, up, lo), -1) for m in flavors if m >= 2]
-        elif left_unit and not right_unit:
-            items.append((gen_r(l3, l4, up, lo), 1))
-            items += [(gen_r(l3, l4, (i,) + up, (i,) + lo), -1) for i in colors]
-            items += [(gen_f(m, m, l3, l4, up, lo), -1) for m in flavors if m >= 2]
-        else:
-            # both flavor pairs equal to (1,1)
-            items.append((gen_s(up, lo), 1))
-            items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
-            items += [(gen_s(up + (j,), lo + (j,)), -1) for j in colors]
-            items += [
-                (gen_s((i,) + up + (j,), (i,) + lo + (j,)), 1)
-                for i in colors
-                for j in colors
-            ]
-            items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
-            items += [
-                (gen_l(m, m, up + (j,), lo + (j,)), 1)
-                for m in flavors
-                if m >= 2
-                for j in colors
-            ]
-            items += [(gen_r(m, m, up, lo), -1) for m in flavors if m >= 2]
-            items += [
-                (gen_r(m, m, (i,) + up, (i,) + lo), 1)
-                for m in flavors
-                if m >= 2
-                for i in colors
-            ]
-            items += [
-                (gen_f(m1, m1, m2, m2, up, lo), 1)
-                for m1 in flavors
-                if m1 >= 2
-                for m2 in flavors
-                if m2 >= 2
-            ]
+        # both flavor pairs equal to (1,1)
+        items.append((gen_s(up, lo), 1))
+        items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
+        items += [(gen_s(up + (j,), lo + (j,)), -1) for j in colors]
+        items += [
+            (gen_s((i,) + up + (j,), (i,) + lo + (j,)), 1)
+            for i in colors
+            for j in colors
+        ]
+        items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
+        items += [
+            (gen_l(m, m, up + (j,), lo + (j,)), 1)
+            for m in flavors
+            if m >= 2
+            for j in colors
+        ]
+        items += [(gen_r(m, m, up, lo), -1) for m in flavors if m >= 2]
+        items += [
+            (gen_r(m, m, (i,) + up, (i,) + lo), 1)
+            for m in flavors
+            if m >= 2
+            for i in colors
+        ]
+        items += [
+            (gen_f(m1, m1, m2, m2, up, lo), 1)
+            for m1 in flavors
+            if m1 >= 2
+            for m2 in flavors
+            if m2 >= 2
+        ]
     return Combination.from_items(params, items)
 
 
@@ -153,16 +158,6 @@ def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
 _B4_CACHE: dict = {}
 
 
-def _run_length(seq, value, from_end: bool) -> int:
-    n = 0
-    it = reversed(seq) if from_end else iter(seq)
-    for x in it:
-        if x != value:
-            break
-        n += 1
-    return n
-
-
 def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     """One substitution step for a generator outside b4."""
     up, lo = g.upper, g.lower
@@ -171,7 +166,7 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     if g.kind == KIND_L:
         # both sequences end in 1: strip the shared trailing 1-block at once
         l1, l2 = g.flavors
-        n = min(_run_length(up, 1, True), _run_length(lo, 1, True))
+        n = min(run_length(up, 1, True), run_length(lo, 1, True))
         bu, bl = up[:-n], lo[:-n]
         items.append((gen_l(l1, l2, bu, bl), 1))
         for p in range(n):
@@ -270,23 +265,17 @@ def to_b4(e: Element, params: AlgebraParams | None = None) -> Element:
 
 def enumerate_generators(params: AlgebraParams, max_size: int):
     """All generators with total index size <= max_size (extended ones included)."""
-    seqs_by_len = [
-        list(itertools.product(params.color_range(), repeat=n))
-        for n in range(max_size + 1)
-    ]
     fl = list(params.flavor_range())
-    for a in range(max_size + 1):
-        for b in range(max_size + 1 - a):
-            for up in seqs_by_len[a]:
-                for lo in seqs_by_len[b]:
-                    for l1 in fl:
-                        for l2 in fl:
-                            yield gen_l(l1, l2, up, lo)
-                            yield gen_r(l1, l2, up, lo)
-                            for l3 in fl:
-                                for l4 in fl:
-                                    yield gen_f(l1, l2, l3, l4, up, lo)
-                    yield gen_s(up, lo)
+    for up in all_seqs(params, max_size):
+        for lo in all_seqs(params, max_size - len(up)):
+            for l1 in fl:
+                for l2 in fl:
+                    yield gen_l(l1, l2, up, lo)
+                    yield gen_r(l1, l2, up, lo)
+                    for l3 in fl:
+                        for l4 in fl:
+                            yield gen_f(l1, l2, l3, l4, up, lo)
+            yield gen_s(up, lo)
 
 
 def enumerate_b0(params: AlgebraParams, max_size: int):

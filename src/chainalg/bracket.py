@@ -9,6 +9,13 @@ kind-s generator) first replace it by the equivalent combination of
 one-step-longer interior operators plus left-end operators, which acts
 identically on every chain.
 
+Only the left-end rows are written out.  Chain reversal induces the
+automorphism mirror_gen of the algebra (sequences reversed, l and r
+swapped), so each right-end row, and the right-end expansion of an
+interior operator, is the mirror image of its left-end twin.  (Basis b4
+is not mirror-symmetric, so its rewriting rules in basis.py stay
+written out for both ends.)
+
 Grade-zero generators split into raising, diagonal and lowering by
 comparing the upper index word (sequence followed by its flavor indices)
 against the lower one; together with the sign of the grade this yields
@@ -30,11 +37,13 @@ from .core import (
     Combination,
     Element,
     Generator,
+    flavor_words,
     gen_f,
     gen_l,
-    gen_r,
     gen_s,
     grade,
+    mirror,
+    mirror_gen,
 )
 
 
@@ -72,9 +81,7 @@ def sigma_left_expansion(g: Generator, params: AlgebraParams) -> Element:
 
 def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
     """Mirror expansion through the right end."""
-    items = [(gen_s(g.upper + (j,), g.lower + (j,)), 1) for j in params.color_range()]
-    items += [(gen_r(m, m, g.upper, g.lower), 1) for m in params.flavor_range()]
-    return Combination.from_items(params, items)
+    return mirror(sigma_left_expansion(mirror_gen(g), params))
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +107,6 @@ def _fl(a: Generator, b: Generator):
         for i1, i2 in _splits2(a.upper):
             if i1 == b.lower:
                 yield gen_f(b1, a2, a3, a4, b.upper + i2, a.lower), -1
-
-
-def _fr(a: Generator, b: Generator):
-    a1, a2, a3, a4 = a.flavors
-    b1, b2 = b.flavors
-    if b1 == a4:
-        for j1, j2 in _splits2(a.lower):
-            if j2 == b.upper:
-                yield gen_f(a1, a2, a3, b2, a.upper, j1 + b.lower), 1
-    if a3 == b2:
-        for i1, i2 in _splits2(a.upper):
-            if i2 == b.lower:
-                yield gen_f(a1, a2, b1, a4, i1 + b.upper, a.lower), -1
 
 
 def _fs(a: Generator, b: Generator):
@@ -201,69 +195,6 @@ def _ls(a: Generator, b: Generator):
             yield gen_l(a1, a2, i1 + K + i3, J), -1
 
 
-def _rr(a: Generator, b: Generator):
-    a1, a2 = a.flavors
-    b1, b2 = b.flavors
-    if b1 == a2:
-        if b.upper == a.lower:
-            yield gen_r(a1, b2, a.upper, b.lower), 1
-        for j1, j2 in _splits2(a.lower, ne1=True):
-            if j2 == b.upper:
-                yield gen_r(a1, b2, a.upper, j1 + b.lower), 1
-        for k1, k2 in _splits2(b.upper, ne1=True):
-            if k2 == a.lower:
-                yield gen_r(a1, b2, k1 + a.upper, b.lower), 1
-    if a1 == b2:
-        if a.upper == b.lower:
-            yield gen_r(b1, a2, b.upper, a.lower), -1
-        for l1, l2 in _splits2(b.lower, ne1=True):
-            if l2 == a.upper:
-                yield gen_r(b1, a2, b.upper, l1 + a.lower), -1
-        for i1, i2 in _splits2(a.upper, ne1=True):
-            if i2 == b.lower:
-                yield gen_r(b1, a2, i1 + b.upper, a.lower), -1
-
-
-def _rs(a: Generator, b: Generator):
-    a1, a2 = a.flavors
-    K, L = b.upper, b.lower
-    I, J = a.upper, a.lower
-    if J == K:
-        yield gen_r(a1, a2, I, L), 1
-    for k1, k2 in _splits2(K, ne1=True, ne2=True):
-        if k2 == J:
-            yield gen_r(a1, a2, k1 + I, L), 1
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        if j2 == K:
-            yield gen_r(a1, a2, I, j1 + L), 1
-        if j1 == K:
-            yield gen_r(a1, a2, I, L + j2), 1
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        for k1, k2 in _splits2(K, ne1=True, ne2=True):
-            if k2 == j1:
-                yield gen_r(a1, a2, k1 + I, L + j2), 1
-    for j1, j2, j3 in _splits3(J):
-        if j2 == K:
-            yield gen_r(a1, a2, I, j1 + L + j3), 1
-    if I == L:
-        yield gen_r(a1, a2, K, J), -1
-    for l1, l2 in _splits2(L, ne1=True, ne2=True):
-        if l2 == I:
-            yield gen_r(a1, a2, K, l1 + J), -1
-    for i1, i2 in _splits2(I, ne1=True, ne2=True):
-        if i2 == L:
-            yield gen_r(a1, a2, i1 + K, J), -1
-        if i1 == L:
-            yield gen_r(a1, a2, K + i2, J), -1
-    for l1, l2 in _splits2(L, ne1=True, ne2=True):
-        for i1, i2 in _splits2(I, ne1=True, ne2=True):
-            if i1 == l2:
-                yield gen_r(a1, a2, K + i2, l1 + J), -1
-    for i1, i2, i3 in _splits3(I):
-        if i2 == L:
-            yield gen_r(a1, a2, i1 + K + i3, J), -1
-
-
 def _ss_half(I, J, K, L):
     if K == J:
         yield gen_s(I, L), 1
@@ -298,16 +229,26 @@ def _ss(a: Generator, b: Generator):
         yield g, -c
 
 
+def _mirrored(row):
+    """The row of the mirror-image kinds: [a, b] = mirror [mirror a, mirror b]."""
+
+    def mirrored_row(a: Generator, b: Generator):
+        for g, c in row(mirror_gen(a), mirror_gen(b)):
+            yield mirror_gen(g), c
+
+    return mirrored_row
+
+
 _TABLE = {
     (KIND_F, KIND_F): _ff,
     (KIND_F, KIND_L): _fl,
-    (KIND_F, KIND_R): _fr,
+    (KIND_F, KIND_R): _mirrored(_fl),
     (KIND_F, KIND_S): _fs,
     (KIND_L, KIND_L): _ll,
     (KIND_L, KIND_R): _lr,
     (KIND_L, KIND_S): _ls,
-    (KIND_R, KIND_R): _rr,
-    (KIND_R, KIND_S): _rs,
+    (KIND_R, KIND_R): _mirrored(_ll),
+    (KIND_R, KIND_S): _mirrored(_ls),
     (KIND_S, KIND_S): _ss,
 }
 
@@ -354,13 +295,8 @@ class TriangularClass(enum.Enum):
 
 def index_words(g: Generator) -> tuple:
     """Upper and lower index words: sequence entries then flavor indices."""
-    if g.kind == KIND_F:
-        l1, l2, l3, l4 = g.flavors
-        return g.upper + (l1, l3), g.lower + (l2, l4)
-    if g.kind in (KIND_L, KIND_R):
-        l1, l2 = g.flavors
-        return g.upper + (l1,), g.lower + (l2,)
-    return g.upper, g.lower
+    up_fl, lo_fl = flavor_words(g)
+    return g.upper + up_fl, g.lower + lo_fl
 
 
 def classify(g: Generator) -> TriangularClass:

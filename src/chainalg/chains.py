@@ -14,7 +14,6 @@ enumeration is a concrete lowest weight vector.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +25,10 @@ from .core import (
     Combination,
     Element,
     Generator,
+    all_seqs,
+    render_seq,
 )
+from .weights import arg_at, check_partition
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ def chain(left: int, body, right: int) -> Chain:
 
 
 def render_chain(c: Chain) -> str:
-    return f"chain({c.left},{c.right})[{','.join(str(i) for i in c.body)}]"
+    return f"chain({c.left},{c.right})[{render_seq(c.body)}]"
 
 
 ChainState = Combination  # keys: Chain
@@ -116,11 +118,10 @@ def act_gen(g: Generator, c: Chain, params: AlgebraParams) -> ChainState:
 
 def all_chains(params: AlgebraParams, max_len: int):
     """Every basis chain with body length up to max_len."""
-    for n in range(max_len + 1):
-        for body in itertools.product(params.color_range(), repeat=n):
-            for lf in params.flavor_range():
-                for rf in params.flavor_range():
-                    yield Chain(lf, body, rf)
+    for body in all_seqs(params, max_len):
+        for lf in params.flavor_range():
+            for rf in params.flavor_range():
+                yield Chain(lf, body, rf)
 
 
 def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
@@ -220,9 +221,7 @@ def canonical_tableau(gamma) -> list:
 
 def young_project(psi: TensorState, gamma) -> TensorState:
     """Row-symmetrize then column-antisymmetrize tensor slots (unnormalized)."""
-    gamma = tuple(gamma)
-    if any(a < b for a, b in zip(gamma, gamma[1:])) or any(p <= 0 for p in gamma):
-        raise ValueError("partition parts must be positive and weakly decreasing")
+    gamma = check_partition(gamma)
     d = sum(gamma)
     arities = {len(k) for k in psi.keys()}
     if arities and arities != {d}:
@@ -250,8 +249,7 @@ def young_project(psi: TensorState, gamma) -> TensorState:
 
 def young_scalar(gamma) -> Fraction:
     """The scalar m with (projector)^2 = m * projector: d! / #standard tableaux."""
-    gamma = tuple(gamma)
-    d = sum(gamma)
+    gamma = check_partition(gamma)
     hooks = 1
     for i, part in enumerate(gamma):
         for j in range(part):
@@ -259,7 +257,6 @@ def young_scalar(gamma) -> Fraction:
             leg = sum(1 for ii in range(i + 1, len(gamma)) if gamma[ii] > j)
             hooks *= arm + leg + 1
     # hook length formula: #SYT = d! / prod(hooks), so m = prod(hooks)
-    assert math.factorial(d) % hooks == 0
     return Fraction(hooks)
 
 
@@ -277,8 +274,6 @@ def lowest_weight_vector_concrete(gamma, params: AlgebraParams) -> TensorState:
     (flavors vary fastest, then bodies in the sequence ordering); the
     result is the unnormalized Young projection.
     """
-    from .weights import arg_at  # local import: weights depends on basis only
-
     gamma = tuple(gamma)
     slots = []
     for row_index, part in enumerate(gamma, start=1):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .core import (
     Combination,
     Element,
     Generator,
+    all_seqs,
     gen_f,
     gen_l,
     gen_r,
@@ -105,25 +105,26 @@ def suite_identities(params=None, seed=0, cases=0, max_len=5, max_total=3):
     for p in param_list:
         checked = 0
         bad = 0
-        for up, lo in _seq_pairs(p, max_total):
-            sig = Combination.term(p, gen_s(up, lo))
-            for expansion in (
-                sigma_left_expansion(gen_s(up, lo), p),
-                sigma_right_expansion(gen_s(up, lo), p),
-            ):
+        for up in all_seqs(p, max_total):
+            for lo in all_seqs(p, max_total - len(up)):
+                sig = Combination.term(p, gen_s(up, lo))
+                for expansion in (
+                    sigma_left_expansion(gen_s(up, lo), p),
+                    sigma_right_expansion(gen_s(up, lo), p),
+                ):
+                    checked += 1
+                    if not equal_on_chains(sig, expansion, max_len):
+                        bad += 1
+                for l1 in p.flavor_range():
+                    for l2 in p.flavor_range():
+                        checked += 2
+                        if not _gg_left(p, l1, l2, up, lo, max_len):
+                            bad += 1
+                        if not _gg_right(p, l1, l2, up, lo, max_len):
+                            bad += 1
                 checked += 1
-                if not equal_on_chains(sig, expansion, max_len):
+                if not _gg_interior(p, up, lo, max_len):
                     bad += 1
-            for l1 in p.flavor_range():
-                for l2 in p.flavor_range():
-                    checked += 2
-                    if not _gg_left(p, l1, l2, up, lo, max_len):
-                        bad += 1
-                    if not _gg_right(p, l1, l2, up, lo, max_len):
-                        bad += 1
-            checked += 1
-            if not _gg_interior(p, up, lo, max_len):
-                bad += 1
         lines.append(
             f"identities (colors={p.colors}, flavors={p.flavors}): "
             f"{checked - bad}/{checked} pass"
@@ -132,23 +133,10 @@ def suite_identities(params=None, seed=0, cases=0, max_len=5, max_total=3):
     return ok, lines
 
 
-def _seq_pairs(params: AlgebraParams, max_total: int):
-    for a in range(max_total + 1):
-        for b in range(max_total + 1 - a):
-            for up in itertools.product(params.color_range(), repeat=a):
-                for lo in itertools.product(params.color_range(), repeat=b):
-                    yield up, lo
-
-
-def _tails(params: AlgebraParams, max_len: int):
-    for n in range(max_len + 1):
-        yield from itertools.product(params.color_range(), repeat=n)
-
-
 def _gg_left(params, l1, l2, up, lo, max_len) -> bool:
     lhs = Combination.term(params, gen_l(l1, l2, up, lo))
     items = []
-    for tail in _tails(params, max_len):
+    for tail in all_seqs(params, max_len):
         for l3 in params.flavor_range():
             items.append((gen_f(l1, l2, l3, l3, up + tail, lo + tail), 1))
     return equal_on_chains(lhs, Combination.from_items(params, items), max_len)
@@ -157,7 +145,7 @@ def _gg_left(params, l1, l2, up, lo, max_len) -> bool:
 def _gg_right(params, l1, l2, up, lo, max_len) -> bool:
     lhs = Combination.term(params, gen_r(l1, l2, up, lo))
     items = []
-    for head in _tails(params, max_len):
+    for head in all_seqs(params, max_len):
         for l3 in params.flavor_range():
             items.append((gen_f(l3, l3, l1, l2, head + up, head + lo), 1))
     return equal_on_chains(lhs, Combination.from_items(params, items), max_len)
@@ -166,8 +154,8 @@ def _gg_right(params, l1, l2, up, lo, max_len) -> bool:
 def _gg_interior(params, up, lo, max_len) -> bool:
     lhs = Combination.term(params, gen_s(up, lo))
     items = []
-    for head in _tails(params, max_len):
-        for tail in _tails(params, max_len - len(head)):
+    for head in all_seqs(params, max_len):
+        for tail in all_seqs(params, max_len - len(head)):
             for l1 in params.flavor_range():
                 for l2 in params.flavor_range():
                     items.append((gen_f(l1, l1, l2, l2, head + up + tail, head + lo + tail), 1))

@@ -31,12 +31,14 @@ from .core import (
     Element,
     Generator,
     IndexRangeError,
+    check_indices,
     gen_f,
     gen_key,
     gen_l,
     gen_r,
     gen_s,
     render_element,
+    render_frac,
     render_terms,
 )
 from .verma import gram_matrix, inertia, render_word
@@ -212,9 +214,8 @@ class _Parser:
             self._expect_sym("[")
             body = self._seq()
             self._expect_sym("]")
-            ch = Chain(a, body, b)
-            _validate_chain(ch, self.params)
-            return ch
+            check_indices(self.params, body, (a, b))
+            return Chain(a, body, b)
         else:
             raise ExprSyntaxError(col, f"unknown atom {val!r}")
         g.validate(self.params)
@@ -227,20 +228,6 @@ class _Parser:
         lo = self._seq()
         self._expect_sym("]")
         return up, lo
-
-
-def _validate_chain(c: Chain, params: AlgebraParams):
-    for i in c.body:
-        if not 1 <= i <= params.colors:
-            raise IndexRangeError(
-                f"color index {i} out of range 1..{params.colors} (lambda={params.colors})"
-            )
-    for m in (c.left, c.right):
-        if not 1 <= m <= params.flavors:
-            raise IndexRangeError(
-                f"flavor index {m} out of range 1..{params.flavors} "
-                f"(lambda_f={params.flavors})"
-            )
 
 
 def parse(text: str, params: AlgebraParams) -> Expression:
@@ -263,6 +250,13 @@ def _parse_gamma(text: str) -> tuple:
     if not text:
         return ()
     return check_partition(int(p) for p in text.split(","))
+
+
+def _non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -305,7 +299,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", help="Gram matrix of module words within a size bound")
     p.add_argument("--weight", dest="weight_file")
     p.add_argument("--gamma")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_non_negative_int, required=True)
     p.add_argument("--inertia", action="store_true")
     add_params(p)
 
@@ -316,8 +310,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--cases", type=_non_negative_int, default=50)
+    p.add_argument("--max-len", type=_non_negative_int, default=4)
     add_params(p)
     return top
 
@@ -334,6 +328,13 @@ def _require_params(args) -> AlgebraParams:
     return AlgebraParams(args.colors, args.flavors)
 
 
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
@@ -344,11 +345,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # downstream consumer (head, less, ...) closed the stream
         return 0
-
-
-def run(argv) -> int:
-    """Entry point used by tests; same as main."""
-    return main(argv)
 
 
 def _dispatch(args) -> int:
@@ -382,14 +378,14 @@ def _dispatch(args) -> int:
         w = weight_from_partition(_parse_gamma(args.gamma), params)
         text = write_weight(w)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _open(args.out, "w") as fh:
                 fh.write(text)
         else:
             print(text, end="")
         return 0
     if cmd == "gram":
         if args.weight_file:
-            with open(args.weight_file, encoding="utf-8") as fh:
+            with _open(args.weight_file) as fh:
                 w = read_weight(fh.read())
             if (args.colors is not None and w.params.colors != args.colors) or (
                 args.flavors is not None and w.params.flavors != args.flavors
@@ -407,14 +403,14 @@ def _dispatch(args) -> int:
         for i, word in enumerate(gm.words):
             print(f"word {i}: {render_word(word)}")
         for i, row in enumerate(gm.entries):
-            body = " ".join(_frac_text(v) for v in row)
+            body = " ".join(render_frac(v) for v in row)
             print(f"row {i}: {body}")
         if args.inertia:
             res = inertia(gm)
             print(f"inertia: pos={res.n_pos} zero={res.n_zero} neg={res.n_neg}")
             print(f"radical dim {len(res.radical)}")
             for i, vec in enumerate(res.radical):
-                print(f"radical {i}: " + " ".join(_frac_text(v) for v in vec))
+                print(f"radical {i}: " + " ".join(render_frac(v) for v in vec))
         return 0
     if cmd == "check":
         params = _require_params(args)
@@ -429,10 +425,6 @@ def _dispatch(args) -> int:
             print(line)
         return 0 if ok else 1
     raise AssertionError(f"unhandled command {cmd}")
-
-
-def _frac_text(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 if __name__ == "__main__":

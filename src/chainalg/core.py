@@ -21,6 +21,7 @@ generators; all arithmetic is exact (fractions.Fraction), never float.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -76,18 +77,7 @@ class Generator:
             )
 
     def validate(self, params: AlgebraParams) -> None:
-        for i in self.upper + self.lower:
-            if not 1 <= i <= params.colors:
-                raise IndexRangeError(
-                    f"color index {i} out of range 1..{params.colors} "
-                    f"(lambda={params.colors})"
-                )
-        for m in self.flavors:
-            if not 1 <= m <= params.flavors:
-                raise IndexRangeError(
-                    f"flavor index {m} out of range 1..{params.flavors} "
-                    f"(lambda_f={params.flavors})"
-                )
+        check_indices(params, self.upper + self.lower, self.flavors)
 
     def __repr__(self):
         return render_generator(self)
@@ -95,6 +85,22 @@ class Generator:
 
 class IndexRangeError(ValueError):
     """An integer index fell outside the bounds set by the parameters."""
+
+
+def check_indices(params: AlgebraParams, colors=(), flavors=()) -> None:
+    """Raise IndexRangeError unless every color and flavor index is in range."""
+    for i in colors:
+        if not 1 <= i <= params.colors:
+            raise IndexRangeError(
+                f"color index {i} out of range 1..{params.colors} "
+                f"(lambda={params.colors})"
+            )
+    for m in flavors:
+        if not 1 <= m <= params.flavors:
+            raise IndexRangeError(
+                f"flavor index {m} out of range 1..{params.flavors} "
+                f"(lambda_f={params.flavors})"
+            )
 
 
 def gen_f(l1, l2, l3, l4, upper, lower) -> Generator:
@@ -127,8 +133,24 @@ def seq_compare(a: IntSeq, b: IntSeq) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _flavor_split(g: Generator) -> tuple:
-    # (upper flavor word, lower flavor word); lower compares first
+def all_seqs(params: AlgebraParams, max_len: int):
+    """Every color sequence of length <= max_len, ascending in the sequence ordering."""
+    for n in range(max_len + 1):
+        yield from itertools.product(params.color_range(), repeat=n)
+
+
+def run_length(seq: IntSeq, value: int, from_end: bool) -> int:
+    """Length of the block of `value` entries that starts (or ends) the sequence."""
+    n = 0
+    for x in reversed(seq) if from_end else seq:
+        if x != value:
+            break
+        n += 1
+    return n
+
+
+def flavor_words(g: Generator) -> tuple:
+    """(upper flavor word, lower flavor word) of a generator."""
     if g.kind == KIND_F:
         l1, l2, l3, l4 = g.flavors
         return (l1, l3), (l2, l4)
@@ -149,7 +171,7 @@ def gen_key(g: Generator):
     Precedence: grade, total index size, lower sequence, upper sequence,
     kind (s > r > l > f), lower flavor word, upper flavor word.
     """
-    up_fl, lo_fl = _flavor_split(g)
+    up_fl, lo_fl = flavor_words(g)
     return (
         grade(g),
         len(g.upper) + len(g.lower),
@@ -310,7 +332,7 @@ def element(params: AlgebraParams, *scaled_gens) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# anti-involution
+# involutions
 
 def omega_gen(g: Generator) -> Generator:
     """Swap upper and lower data: sequences exchanged, flavor pairs transposed."""
@@ -330,15 +352,40 @@ def omega(e: Element) -> Element:
     return Combination.from_items(e.params, ((omega_gen(g), c) for g, c in e))
 
 
+_MIRROR_KIND = {KIND_F: KIND_F, KIND_L: KIND_R, KIND_R: KIND_L, KIND_S: KIND_S}
+
+
+def mirror_gen(g: Generator) -> Generator:
+    """Image under chain reversal chain(a,b)[K] -> chain(b,a)[reversed K].
+
+    Both sequences are reversed, l and r swap keeping their flavor pair,
+    and f(a,b;c,d) becomes f(c,d;a,b).  Conjugating the action by chain
+    reversal makes this an automorphism of the algebra:
+    [mirror a, mirror b] = mirror [a, b].
+    """
+    return Generator(
+        _MIRROR_KIND[g.kind], g.upper[::-1], g.lower[::-1], g.flavors[2:] + g.flavors[:2]
+    )
+
+
+def mirror(e: Element) -> Element:
+    """Linear extension of mirror_gen."""
+    return Combination.from_items(e.params, ((mirror_gen(g), c) for g, c in e))
+
+
 # ---------------------------------------------------------------------------
 # text rendering (the CLI grammar emits and parses exactly this form)
 
-def _render_seq(seq: IntSeq) -> str:
+def render_seq(seq: IntSeq) -> str:
     return ",".join(str(i) for i in seq)
 
 
+def render_frac(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
 def render_generator(g: Generator) -> str:
-    body = f"[{_render_seq(g.upper)}|{_render_seq(g.lower)}]"
+    body = f"[{render_seq(g.upper)}|{render_seq(g.lower)}]"
     if g.kind == KIND_F:
         l1, l2, l3, l4 = g.flavors
         return f"f({l1},{l2};{l3},{l4}){body}"
@@ -349,10 +396,6 @@ def render_generator(g: Generator) -> str:
     return f"s{body}"
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def render_terms(pairs: list) -> str:
     """Render (text, coeff) pairs as a signed sum; '1*' is elided."""
     if not pairs:
@@ -360,7 +403,7 @@ def render_terms(pairs: list) -> str:
     chunks = []
     for n, (text, c) in enumerate(pairs):
         mag = abs(c)
-        body = text if mag == 1 else f"{_render_coeff(mag)}*{text}"
+        body = text if mag == 1 else f"{render_frac(mag)}*{text}"
         if n == 0:
             chunks.append(body if c > 0 else "-" + body)
         else:

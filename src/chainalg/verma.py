@@ -27,6 +27,7 @@ from .core import (
     Combination,
     Element,
     Generator,
+    all_seqs,
     gen_f,
     gen_key,
     gen_s,
@@ -357,13 +358,9 @@ def _splitting_count(upper, lower, left, right) -> int:
 
 
 def _padding_pairs(params: AlgebraParams, depth: int):
-    import itertools
-
-    for a in range(depth + 1):
-        for left in itertools.product(params.color_range(), repeat=a):
-            for b in range(depth + 1 - a):
-                for right in itertools.product(params.color_range(), repeat=b):
-                    yield left, right
+    for left in all_seqs(params, depth):
+        for right in all_seqs(params, depth - len(left)):
+            yield left, right
 
 
 def truncated_interior_element(upper, lower, depth: int, params: AlgebraParams) -> Element:

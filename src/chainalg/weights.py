@@ -18,10 +18,20 @@ Two modes:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .core import KIND_F, KIND_L, KIND_R, AlgebraParams, Generator
+from .core import (
+    KIND_F,
+    KIND_L,
+    KIND_R,
+    AlgebraParams,
+    Generator,
+    all_seqs,
+    check_indices,
+    render_frac,
+    render_seq,
+    run_length,
+)
 
 
 class DivergentSumError(ValueError):
@@ -107,6 +117,14 @@ class Weight:
     ):
         if mode not in ("af", "free"):
             raise ValueError(f"unknown weight mode {mode!r}")
+        for l1, seq, l2 in hI_table or ():
+            check_indices(params, seq, (l1, l2))
+        for l, seq in hII_table or ():
+            check_indices(params, seq, (l,))
+        for seq, l in hIII_table or ():
+            check_indices(params, seq, (l,))
+        for seq in hIV_table or ():
+            check_indices(params, seq)
         self.params = params
         self.alpha = _frac(alpha)
         self.hI_table = {
@@ -175,7 +193,7 @@ class Weight:
         elif not seq or seq[-1] != 1:
             val = self.hII_table.get((l, seq), Fraction(0))
         else:
-            n = _trailing_ones(seq)
+            n = run_length(seq, 1, True)
             base = seq[:-n]
             val = self.h_II(l, base)
             for p in range(n):
@@ -206,7 +224,7 @@ class Weight:
             return self._anchor_III()
         if seq[0] != 1:
             return self.hIII_table.get((seq, l), Fraction(0))
-        n = _leading_ones(seq)
+        n = run_length(seq, 1, False)
         rest = seq[n:]
         if rest or l != 1:
             val = self.h_III(rest, l)
@@ -251,7 +269,7 @@ class Weight:
         if not seq or (seq[0] != 1 and seq[-1] != 1):
             return self.hIV_table.get(seq, Fraction(0))
         if seq[0] == 1:
-            m = _leading_ones(seq)
+            m = run_length(seq, 1, False)
             tail = seq[m:]
             if not tail or tail[-1] != 1:
                 val = self.h_IV(tail)
@@ -262,7 +280,7 @@ class Weight:
                     for l in self.params.flavor_range():
                         val -= self.h_II(l, pad)
                 return val
-            n = _trailing_ones(tail)
+            n = run_length(tail, 1, True)
             core = tail[:-n]
             head = _ones(m) + core
             val = self.h_IV(head)
@@ -273,7 +291,7 @@ class Weight:
                 for l in self.params.flavor_range():
                     val -= self.h_III(pad, l)
             return val
-        n = _trailing_ones(seq)
+        n = run_length(seq, 1, True)
         core = seq[:-n]
         val = self.h_IV(core)
         for p in range(n):
@@ -283,21 +301,6 @@ class Weight:
             for l in self.params.flavor_range():
                 val -= self.h_III(pad, l)
         return val
-
-    # -- generic -------------------------------------------------------------
-    def h_eval(self, kind: str, args) -> Fraction:
-        if kind == "I":
-            l1, seq, l2 = args
-            return self.h_I(l1, seq, l2)
-        if kind == "II":
-            l, seq = args
-            return self.h_II(l, seq)
-        if kind == "III":
-            seq, l = args
-            return self.h_III(seq, l)
-        if kind == "IV":
-            return self.h_IV(args)
-        raise ValueError(f"unknown kind {kind!r}")
 
     def diagonal_eigenvalue(self, g: Generator) -> Fraction:
         """Eigenvalue of a diagonal generator on the lowest weight vector."""
@@ -319,24 +322,6 @@ class Weight:
                 raise ValueError(f"{g!r} is not diagonal")
             return self.h_III(g.upper, l1)
         return self.h_IV(g.upper)
-
-
-def _leading_ones(seq: tuple) -> int:
-    n = 0
-    for x in seq:
-        if x != 1:
-            break
-        n += 1
-    return n
-
-
-def _trailing_ones(seq: tuple) -> int:
-    n = 0
-    for x in reversed(seq):
-        if x != 1:
-            break
-        n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +387,8 @@ def is_approximately_finite(w: Weight) -> bool:
     return True
 
 
-def _all_seqs(params: AlgebraParams, max_len: int):
-    for n in range(max_len + 1):
-        yield from itertools.product(params.color_range(), repeat=n)
-
-
 def _free_args_II(params: AlgebraParams, max_len: int):
-    for seq in _all_seqs(params, max_len):
+    for seq in all_seqs(params, max_len):
         if seq and seq[-1] == 1:
             continue
         for l in params.flavor_range():
@@ -416,7 +396,7 @@ def _free_args_II(params: AlgebraParams, max_len: int):
 
 
 def _free_args_III(params: AlgebraParams, max_len: int):
-    for seq in _all_seqs(params, max_len):
+    for seq in all_seqs(params, max_len):
         for l in params.flavor_range():
             if not seq and l == 1:
                 continue
@@ -426,7 +406,7 @@ def _free_args_III(params: AlgebraParams, max_len: int):
 
 
 def _free_args_IV(params: AlgebraParams, max_len: int):
-    for seq in _all_seqs(params, max_len):
+    for seq in all_seqs(params, max_len):
         if seq and (seq[0] == 1 or seq[-1] == 1):
             continue
         yield seq
@@ -499,12 +479,8 @@ def split_weight(w: Weight) -> tuple:
 # ---------------------------------------------------------------------------
 # weight files
 
-def _render_frac(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _render_seq(seq) -> str:
-    return "[" + ",".join(str(i) for i in seq) + "]"
+    return f"[{render_seq(seq)}]"
 
 
 def _parse_seq(text: str) -> tuple:
@@ -521,24 +497,23 @@ def write_weight(w: Weight) -> str:
     lines = [
         f"lambda {w.params.colors}",
         f"lambda_f {w.params.flavors}",
-        f"alpha {_render_frac(w.alpha)}",
+        f"alpha {render_frac(w.alpha)}",
         f"mode {w.mode}",
     ]
     for (l1, seq, l2) in sorted(w.hI_table, key=lambda a: arg_index(a, w.params)):
-        lines.append(f"I {l1} {_render_seq(seq)} {l2} {_render_frac(w.hI_table[(l1, seq, l2)])}")
+        lines.append(f"I {l1} {_render_seq(seq)} {l2} {render_frac(w.hI_table[(l1, seq, l2)])}")
     for (l, seq) in sorted(w.hII_table, key=lambda a: (a[0], len(a[1]), a[1])):
-        lines.append(f"II {l} {_render_seq(seq)} {_render_frac(w.hII_table[(l, seq)])}")
+        lines.append(f"II {l} {_render_seq(seq)} {render_frac(w.hII_table[(l, seq)])}")
     for (seq, l) in sorted(w.hIII_table, key=lambda a: (a[1], len(a[0]), a[0])):
-        lines.append(f"III {_render_seq(seq)} {l} {_render_frac(w.hIII_table[(seq, l)])}")
+        lines.append(f"III {_render_seq(seq)} {l} {render_frac(w.hIII_table[(seq, l)])}")
     for seq in sorted(w.hIV_table, key=lambda s: (len(s), s)):
-        lines.append(f"IV {_render_seq(seq)} {_render_frac(w.hIV_table[seq])}")
+        lines.append(f"IV {_render_seq(seq)} {render_frac(w.hIV_table[seq])}")
     return "\n".join(lines) + "\n"
 
 
 def read_weight(text: str) -> Weight:
-    colors = flavors = None
-    alpha = Fraction(0)
-    mode = "af"
+    """Parse a weight file; a line key given twice is an error."""
+    header: dict = {}
     tI: dict = {}
     tII: dict = {}
     tIII: dict = {}
@@ -550,34 +525,35 @@ def read_weight(text: str) -> Weight:
         parts = line.split()
         tag = parts[0]
         try:
-            if tag == "lambda":
-                colors = int(parts[1])
-            elif tag == "lambda-f" or tag == "lambda_f":
-                flavors = int(parts[1])
+            if tag in ("lambda", "lambda-f", "lambda_f"):
+                table, key, value = header, tag.replace("-", "_"), int(parts[1])
             elif tag == "alpha":
-                alpha = Fraction(parts[1])
+                table, key, value = header, tag, Fraction(parts[1])
             elif tag == "mode":
-                mode = parts[1]
+                table, key, value = header, tag, parts[1]
             elif tag == "I":
-                tI[(int(parts[1]), _parse_seq(parts[2]), int(parts[3]))] = Fraction(parts[4])
+                key = (int(parts[1]), _parse_seq(parts[2]), int(parts[3]))
+                table, value = tI, Fraction(parts[4])
             elif tag == "II":
-                tII[(int(parts[1]), _parse_seq(parts[2]))] = Fraction(parts[3])
+                table, key, value = tII, (int(parts[1]), _parse_seq(parts[2])), Fraction(parts[3])
             elif tag == "III":
-                tIII[(_parse_seq(parts[1]), int(parts[2]))] = Fraction(parts[3])
+                table, key, value = tIII, (_parse_seq(parts[1]), int(parts[2])), Fraction(parts[3])
             elif tag == "IV":
-                tIV[_parse_seq(parts[1])] = Fraction(parts[2])
+                table, key, value = tIV, _parse_seq(parts[1]), Fraction(parts[2])
             else:
                 raise ValueError(f"unknown weight-file line {raw!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"malformed weight-file line {raw!r}") from exc
-    if colors is None or flavors is None:
+        if key in table:
+            raise ValueError(f"duplicate weight-file line {raw!r}")
+        table[key] = value
+    if "lambda" not in header or "lambda_f" not in header:
         raise ValueError("weight file must set lambda and lambda-f")
-    params = AlgebraParams(colors, flavors)
     return Weight(
-        params,
-        alpha=alpha,
+        AlgebraParams(header["lambda"], header["lambda_f"]),
+        alpha=header.get("alpha", 0),
         hI_table=tI,
-        mode=mode,
+        mode=header.get("mode", "af"),
         hII_table=tII or None,
         hIII_table=tIII or None,
         hIV_table=tIV or None,

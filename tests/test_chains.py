@@ -87,6 +87,15 @@ def test_young_project_rejects_size_mismatch():
         young_project(tensor_state(P21, (v, v)), (1,))
 
 
+def test_young_rejects_non_partitions():
+    v = chain(1, (), 1)
+    for gamma in ((1, 2), (0,)):
+        with pytest.raises(ValueError):
+            young_scalar(gamma)
+        with pytest.raises(ValueError):
+            young_project(tensor_state(P21, (v,) * sum(gamma)), gamma)
+
+
 def test_young_projector_scalar_and_invariance():
     w = chain(1, (1,), 1)
     v = chain(1, (), 1)

@@ -110,6 +110,34 @@ def test_cli_bracket_golden(capsys):
     assert equal_on_chains(parse(out, P21).as_element(), raw, 5)
 
 
+# recorded from the hand-written right-end rules before they were derived by mirroring
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["bracket", "f(1,2;2,1)[1,2|2]", "r(1,2)[1|2]"],
+            "f(1,2;2,2)[1,1|2] - l(1,2)[1,1|2] + l(1,2)[1,1,1|2,1] + l(1,2)[1,1,2|2,2]",
+        ),
+        (
+            ["bracket", "r(1,2)[1|2,1]", "r(2,1)[2,1|1]"],
+            "-r(2,2)[1|1] + s[1|1] - s[1,1|1,1] - s[1,2|1,2] - r(2,2)[2,1|2,1]",
+        ),
+        (["bracket", "r(2,1)[1,2|1]", "s[1|2]"], "-r(2,1)[1,1|1] + r(2,1)[1,2|2]"),
+        (
+            ["rewrite", "--basis", "b0", "r(1,1)[1|2]"],
+            "-r(2,2)[1|2] + s[1|2] - s[1,1|2,1] - s[1,2|2,2]",
+        ),
+        (
+            ["rewrite", "--basis", "b0", "f(1,1;2,1)[1|2]"],
+            "-f(2,2;2,1)[1|2] + r(2,1)[1|2] - r(2,1)[1,1|1,2] - r(2,1)[2,1|2,2]",
+        ),
+    ],
+)
+def test_cli_right_end_golden(argv, expected, capsys):
+    assert main(argv + ["--lambda", "2", "--lambda-f", "2"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_cli_act(capsys):
     code = main(["act", "s[1|2]", "chain(1,1)[2,2]", "--lambda", "2", "--lambda-f", "1"])
     out = capsys.readouterr().out.strip()
@@ -207,6 +235,30 @@ def test_cli_out_of_range_exit_code(capsys):
     code = main(["classify", "s[9|1]", "--lambda", "2", "--lambda-f", "1"])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--suite", "jacobi", "--cases", "-5"],
+        ["check", "--suite", "identities", "--max-len", "-1"],
+        ["gram", "--gamma", "1", "--max-size", "-3"],
+    ],
+)
+def test_cli_rejects_negative_counts(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--lambda", "2", "--lambda-f", "2"])
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_cli_unopenable_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "w.txt")
+    assert main(["gram", "--weight", missing, "--max-size", "1"]) == 2
+    argv = ["weight", "--gamma", "1", "--out", missing, "--lambda", "1", "--lambda-f", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chainalg: cannot open {missing}: No such file or directory"] * 2
 
 
 def test_cli_check_deterministic_given_seed(capsys):

@@ -17,7 +17,7 @@ from chainalg import (
     weight_from_partition,
     write_weight,
 )
-from chainalg.core import seq_key
+from chainalg.core import IndexRangeError, seq_key
 from chainalg.weights import DivergentSumError, check_partition, free_weight_from_af
 
 P11 = AlgebraParams(1, 1)
@@ -203,6 +203,18 @@ def test_weight_file_roundtrip():
         assert back.hII_table == w.hII_table
         assert back.hIII_table == w.hIII_table
         assert back.hIV_table == w.hIV_table
+
+
+def test_weight_file_rejects_bad_indices_and_duplicates():
+    head = "lambda 2\nlambda_f 1\n"
+    with pytest.raises(IndexRangeError):
+        read_weight(head + "I 1 [7] 1 2\n")
+    with pytest.raises(IndexRangeError):
+        read_weight(head + "III [1] 3 1\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        read_weight(head + "I 1 [7] 3 2\nI 1 [7] 3 2\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        read_weight(head + "lambda 3\n")
 
 
 def test_weight_file_errors():
