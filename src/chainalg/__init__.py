@@ -6,6 +6,7 @@ from .core import (
     Element,
     Generator,
     IndexRangeError,
+    charge,
     element,
     gen_compare,
     gen_f,

@@ -297,8 +297,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     add_params(p)
 
     p = sub.add_parser("gram", help="Gram matrix of module words within a size bound")
-    p.add_argument("--weight", dest="weight_file")
-    p.add_argument("--gamma")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--weight", dest="weight_file")
+    source.add_argument("--gamma")
     p.add_argument("--max-size", type=_non_negative_int, required=True)
     p.add_argument("--inertia", action="store_true")
     add_params(p)

@@ -21,6 +21,7 @@ generators; all arithmetic is exact (fractions.Fraction), never float.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,6 +164,25 @@ def flavor_words(g: Generator) -> tuple:
 def grade(g: Generator) -> int:
     """Degree in the integer grading: upper length minus lower length."""
     return len(g.upper) - len(g.lower)
+
+
+def charge(*gens: Generator) -> tuple:
+    """Additive charge of the given letters: sorted sparse ((slot, index), n).
+
+    Upper minus lower count of color c ("c") and of the flavor at the left end
+    ("l": f's first pair, l) and the right end ("r": f's second pair, r).
+    """
+    acc = collections.Counter()
+    for g in gens:
+        acc.update(("c", c) for c in g.upper)
+        acc.subtract(("c", c) for c in g.lower)
+        if g.kind in (KIND_F, KIND_L):
+            acc["l", g.flavors[0]] += 1
+            acc["l", g.flavors[1]] -= 1
+        if g.kind in (KIND_F, KIND_R):
+            acc["r", g.flavors[-2]] += 1
+            acc["r", g.flavors[-1]] -= 1
+    return tuple(sorted((k, n) for k, n in acc.items() if n))
 
 
 def gen_key(g: Generator):

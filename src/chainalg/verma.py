@@ -11,6 +11,12 @@ The contravariant form of two words is the vacuum coefficient of the
 first word's image under the anti-involution times the second word.
 Gram matrices are analyzed by exact congruence elimination, giving the
 signature and a basis of the radical.
+
+Every word has an additive charge (core.charge), and the form pairs only
+words of equal charge (the weight-space splitting of the Shapovalov
+form).  gram_matrix computes in-charge pairs only; inertia eliminates each
+block of the nonzero pattern alone.  No elimination step leaves its block,
+so the output equals one whole-matrix elimination exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from .core import (
     Combination,
     Element,
     Generator,
+    _as_fraction,
     all_seqs,
+    charge,
     gen_f,
     gen_key,
     gen_s,
@@ -235,25 +243,28 @@ class GramMatrix:
 
 
 def gram_matrix(w: Weight, max_word_size: int) -> GramMatrix:
-    """Contravariant pairings of every word pair within the size bound."""
+    """Contravariant pairings within the size bound; unequal charges pair to zero."""
     words = pbw_words(w.params, max_word_size)
-    n = len(words)
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    entries = [[Fraction(0)] * len(words) for _ in words]
     conj = {word: [omega_gen(x) for x in word] for word in words}
-    for j in range(n):
-        base = Combination.term(w.params, words[j])
-        for i in range(j + 1):
-            state = base
-            for x in conj[words[i]]:
-                if state.is_zero():
-                    break
-                nxt = Combination.zero(w.params)
-                for u, s in state:
-                    nxt = nxt + insert_letter(x, u, w).scaled(s)
-                state = nxt
-            val = state.get(())
-            entries[i][j] = val
-            entries[j][i] = val
+    blocks: dict = {}
+    for j, word in enumerate(words):
+        blocks.setdefault(charge(*word), []).append(j)
+    for block in blocks.values():
+        for b, j in enumerate(block):
+            base = Combination.term(w.params, words[j])
+            for i in block[: b + 1]:
+                state = base
+                for x in conj[words[i]]:
+                    if state.is_zero():
+                        break
+                    nxt = Combination.zero(w.params)
+                    for u, s in state:
+                        nxt = nxt + insert_letter(x, u, w).scaled(s)
+                    state = nxt
+                val = state.get(())
+                entries[i][j] = val
+                entries[j][i] = val
     return GramMatrix(words, entries)
 
 
@@ -266,57 +277,74 @@ class Inertia:
 
 
 def inertia(m: GramMatrix | list) -> Inertia:
-    """Exact signature and radical basis by symmetric congruence elimination."""
+    """Exact signature and radical basis by congruence elimination, block by block."""
     entries = m.entries if isinstance(m, GramMatrix) else m
     n = len(entries)
-    a = [[Fraction(v) for v in row] for row in entries]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("inertia requires a symmetric matrix")
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    remaining = list(range(n))
+    if any(len(row) != n for row in entries):
+        raise ValueError("inertia requires a square matrix")
+    a = [[_as_fraction(v) for v in row] for row in entries]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("inertia requires a symmetric matrix")
+    t = [[Fraction(0)] * i + [Fraction(1)] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
     n_pos = n_neg = 0
-    while remaining:
-        pivot = next((k for k in remaining if a[k][k]), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in remaining for j in remaining if i != j and a[i][j]),
-                None,
-            )
-            if off is None:
-                break
-            i, j = off
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            for c in range(n):
-                t[i][c] += t[j][c]
-            continue
-        d = a[pivot][pivot]
-        if d > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        others = [i for i in remaining if i != pivot]
-        factors = {i: a[i][pivot] / d for i in others}
-        for i in others:
-            f = factors[i]
-            if not f:
+    radical = []
+    for comp in _components(a):
+        remaining = list(comp)
+        while remaining:
+            pivot = next((k for k in remaining if a[k][k]), None)
+            if pivot is None:
+                off = next(
+                    ((i, j) for i in remaining for j in remaining if i != j and a[i][j]),
+                    None,
+                )
+                if off is None:
+                    break
+                i, j = off
+                for c in comp:
+                    a[i][c] += a[j][c]
+                for r in comp:
+                    a[r][i] += a[r][j]
+                for c in comp:
+                    t[i][c] += t[j][c]
                 continue
-            for c in range(n):
-                a[i][c] -= f * a[pivot][c]
-                t[i][c] -= f * t[pivot][c]
-        for i in others:
-            f = factors[i]
-            if not f:
-                continue
-            for r in range(n):
-                a[r][i] -= f * a[r][pivot]
-        remaining.remove(pivot)
-    radical = [list(t[i]) for i in remaining]
-    return Inertia(n_pos, len(remaining), n_neg, radical)
+            d = a[pivot][pivot]
+            if d > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            others = [i for i in remaining if i != pivot]
+            factors = {i: a[i][pivot] / d for i in others}
+            for i in others:
+                f = factors[i]
+                if not f:
+                    continue
+                for c in comp:
+                    a[i][c] -= f * a[pivot][c]
+                    t[i][c] -= f * t[pivot][c]
+            for i in others:
+                f = factors[i]
+                if not f:
+                    continue
+                for r in comp:
+                    a[r][i] -= f * a[r][pivot]
+            remaining.remove(pivot)
+        radical += remaining
+    return Inertia(n_pos, len(radical), n_neg, [t[i] for i in sorted(radical)])
+
+
+def _components(a: list) -> list:
+    """Ascending index lists of the connected components of a's nonzero pattern."""
+    seen, out = set(), []
+    for start in range(len(a)):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for i in comp:
+                new = {j for j, v in enumerate(a[i]) if v} - seen
+                seen |= new
+                comp += new
+            out.append(sorted(comp))
+    return out
 
 
 # ---------------------------------------------------------------------------

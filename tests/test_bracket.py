@@ -18,10 +18,10 @@ from chainalg import (
     grade,
     is_root_vector,
 )
-from chainalg.basis import enumerate_generators, to_b0, to_b0_gen
+from chainalg.basis import enumerate_generators, to_b0, to_b0_gen, to_b4
 from chainalg.bracket import bracket_gen, index_words, is_extended_sigma
 from chainalg.chains import Chain, act, all_chains, chain_state, equal_on_chains
-from chainalg.core import Combination, mirror, mirror_gen
+from chainalg.core import Combination, charge, mirror, mirror_gen, omega_gen
 from chainalg.checks import commutator_of_actions_ok, random_element, random_generator
 
 P21 = AlgebraParams(2, 1)
@@ -208,3 +208,26 @@ def test_chain_reversal_is_an_automorphism_exhaustive():
                         bracket_gen(a, b, params)
                     )
             bracket_gen.cache_clear()  # bounds memory: about 170k pairs at (2, 2)
+
+
+def test_charge_is_a_grading():
+    # gram_matrix pairs only words of equal charge: brackets must add
+    # charges, omega must negate them and diagonal letters must carry none
+    gens = list(enumerate_generators(P22, 2))
+    diagonal = 0
+    for g in gens:
+        assert charge(omega_gen(g)) == tuple((k, -n) for k, n in charge(g))
+        if classify(g) is TriangularClass.DIAGONAL:
+            diagonal += 1
+            assert charge(g) == ()
+    assert diagonal
+    sized = [(g, len(g.upper) + len(g.lower)) for g in gens]
+    for x, nx in sized:
+        for y, ny in sized:
+            if nx + ny > 2:
+                continue
+            e = bracket_gen(x, y, P22)
+            if e:
+                want = charge(x, y)
+                for z in list(e.keys()) + list(to_b4(e, P22).keys()):
+                    assert charge(z) == want

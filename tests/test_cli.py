@@ -1,5 +1,6 @@
 """Expression grammar, round trips, subcommands, exit codes."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -187,6 +188,30 @@ def test_cli_gram_gamma(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "neg=0" in out
+
+
+@pytest.mark.parametrize(
+    "gamma, digest",
+    [
+        ("1", "ac606d954e8ef6e96f123f347bbfbf0eedae799ae0e07e1319bf9bcda3a4e7f2"),
+        ("1,1", "4a37597c692ddbbacd41c52bdba7cbc9faede1a26742f64d7e3bc74c17ab1b35"),
+    ],
+    ids=["1", "1,1"],
+)
+def test_cli_gram_size3_golden(gamma, digest, capsys):
+    # SHA-256 of stdout recorded with the dense Gram assembly and elimination
+    argv = ["gram", "--gamma", gamma, "--max-size", "3", "--inertia"]
+    assert main(argv + ["--lambda", "2", "--lambda-f", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_gram_rejects_weight_with_gamma(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    assert main(["weight", "--gamma", "1", "--out", str(path), "--lambda", "1", "--lambda-f", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--weight", str(path), "--gamma", "2", "--max-size", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_cli_gram_accepts_gamma_prefix(capsys):

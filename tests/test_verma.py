@@ -28,6 +28,7 @@ from chainalg import (
 from chainalg.basis import to_b0
 from chainalg.bracket import TriangularClass, classify
 from chainalg.chains import act_tensor
+from chainalg.core import charge
 from chainalg.checks import random_generator
 from chainalg.verma import (
     expectation_random,
@@ -155,6 +156,57 @@ def test_inertia_examples():
     assert (res.n_pos, res.n_zero, res.n_neg) == (0, 1, 0)
     res = inertia([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert (res.n_pos, res.n_zero, res.n_neg) == (1, 0, 1)
+
+
+def test_inertia_rejects_non_square_and_ragged():
+    with pytest.raises(ValueError, match="square"):
+        inertia([[1, 2]])
+    with pytest.raises(ValueError, match="square"):
+        inertia([[1, 0], [0]])
+
+
+def test_inertia_rejects_floats():
+    with pytest.raises(TypeError, match="exact rationals"):
+        inertia([[1.5, 0], [0, 1]])
+
+
+def test_inertia_interleaved_blocks_golden():
+    # blocks {0,3,5}, {1,6,8} (zero diagonal: the off-diagonal step runs),
+    # {2,7} (singular) and {4} (zero); expected values recorded from one
+    # whole-matrix elimination
+    n = 9
+    m = [[0] * n for _ in range(n)]
+    blocks = {
+        (0, 3, 5): [[2, 1, 0], [1, -1, 3], [0, 3, Fraction(1, 2)]],
+        (1, 6, 8): [[0, 1, 0], [1, 0, 2], [0, 2, 0]],
+        (2, 7): [[1, 2], [2, 4]],
+    }
+    for idx, block in blocks.items():
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                m[i][j] = block[a][b]
+    res = inertia(m)
+    assert (res.n_pos, res.n_zero, res.n_neg) == (4, 3, 2)
+    assert res.radical == [
+        [0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, -2, 0, 0, 0, 0, 1, 0],
+        [0, -2, 0, 0, 0, 0, 0, 0, 1],
+    ]
+
+
+def test_gram_matches_hermitian_form_on_every_pair():
+    # gram_matrix computes equal-charge pairs only; hermitian_form pairs
+    # every word pair, so the cross-charge entries must come out zero
+    cases = [weight_from_partition(g, p) for p in (P11, P21, P22) for g in ((1,), (2,), (1, 1))]
+    cross = 0
+    for w in cases + [Weight(P11, mode="af")]:
+        gm = gram_matrix(w, 2)
+        words = [[element(w.params, g) for g in word] for word in gm.words]
+        for i, wi in enumerate(gm.words):
+            for j in range(i, len(words)):
+                assert gm[i, j] == gm[j, i] == hermitian_form(words[i], words[j], w)
+                cross += charge(*wi) != charge(*gm.words[j])
+    assert cross
 
 
 def test_inertia_radical_annihilates_matrix():
