@@ -23,6 +23,7 @@ b4, r(1,1)[|1] is not).  Its rules stay written out in full.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     KIND_F,
@@ -73,9 +74,6 @@ def in_b4(g: Generator) -> bool:
 
 # ---------------------------------------------------------------------------
 # rewriting into b0: one-shot substitutions
-
-_B0_CACHE: dict = {}
-
 
 def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
     if g.kind == KIND_R or (
@@ -131,21 +129,22 @@ def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
     return Combination.from_items(params, items)
 
 
+@lru_cache(maxsize=None)
 def to_b0_gen(g: Generator, params: AlgebraParams) -> Element:
-    key = (g, params)
-    hit = _B0_CACHE.get(key)
-    if hit is None:
-        if in_b0(g):
-            hit = Combination.term(params, g)
-        else:
-            hit = _b0_expand(g, params)
-        _B0_CACHE[key] = hit
-    return hit
+    if in_b0(g):
+        return Combination.term(params, g)
+    return _b0_expand(g, params)
+
+
+def _check_params(e: Element, params: AlgebraParams | None) -> AlgebraParams:
+    if params is not None and params != e.params:
+        raise ValueError("algebra parameter mismatch between element and basis rewrite")
+    return e.params
 
 
 def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
     """Rewrite into basis b0; equals the input as an open-string-algebra element."""
-    params = params or e.params
+    params = _check_params(e, params)
     total = Combination.zero(params)
     for g, c in e:
         total = total + to_b0_gen(g, params).scaled(c)
@@ -154,9 +153,6 @@ def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
 
 # ---------------------------------------------------------------------------
 # rewriting into b4: recursive stripping of 1-blocks
-
-_B4_CACHE: dict = {}
-
 
 def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     """One substitution step for a generator outside b4."""
@@ -232,28 +228,22 @@ def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
     return depth
 
 
+@lru_cache(maxsize=None)
 def _to_b4_gen_depth(g: Generator, params: AlgebraParams):
-    key = (g, params)
-    hit = _B4_CACHE.get(key)
-    if hit is not None:
-        return hit
     if in_b4(g):
-        result = (Combination.term(params, g), 0)
-    else:
-        total = Combination.zero(params)
-        depth = 0
-        for h, c in _b4_step(g, params):
-            sub, d = _to_b4_gen_depth(h, params)
-            total = total + sub.scaled(c)
-            depth = max(depth, d)
-        result = (total, depth + 1)
-    _B4_CACHE[key] = result
-    return result
+        return (Combination.term(params, g), 0)
+    total = Combination.zero(params)
+    depth = 0
+    for h, c in _b4_step(g, params):
+        sub, d = _to_b4_gen_depth(h, params)
+        total = total + sub.scaled(c)
+        depth = max(depth, d)
+    return (total, depth + 1)
 
 
 def to_b4(e: Element, params: AlgebraParams | None = None) -> Element:
     """Rewrite into basis b4; equals the input as an open-string-algebra element."""
-    params = params or e.params
+    params = _check_params(e, params)
     total = Combination.zero(params)
     for g, c in e:
         total = total + to_b4_gen(g, params).scaled(c)

@@ -12,36 +12,36 @@ Two modes:
   the weight of a Young-symmetrized tensor power of the defining
   representation when the table comes from a partition.
 * ``free``  the tables on basis-b4 diagonal arguments are free finitely
-  supported data; all other arguments are determined by recursion
-  relations that strip leading or trailing 1-blocks.
+  supported data; any other diagonal generator equals its b4 rewrite
+  (``basis.to_b4``) in the algebra, so its eigenvalue is evaluated
+  through that rewrite.  A table entry outside b4 is rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .basis import in_b4, to_b4_gen
 from .core import (
     KIND_F,
     KIND_L,
     KIND_R,
+    KIND_S,
     AlgebraParams,
     Generator,
+    _as_fraction,
     all_seqs,
     check_indices,
+    gen_l,
+    gen_r,
+    gen_s,
     render_frac,
     render_seq,
-    run_length,
 )
 
 
 class DivergentSumError(ValueError):
     """A derived-table sum has infinitely many nonzero summands."""
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError("weight values must be exact rationals")
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +98,6 @@ def arg_index(arg: tuple, params: AlgebraParams) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _ones(p: int) -> tuple:
-    return (1,) * p
-
-
 class Weight:
     """Lowest-weight data over a fixed AlgebraParams; immutable once built."""
 
@@ -119,28 +115,28 @@ class Weight:
             raise ValueError(f"unknown weight mode {mode!r}")
         for l1, seq, l2 in hI_table or ():
             check_indices(params, seq, (l1, l2))
-        for l, seq in hII_table or ():
-            check_indices(params, seq, (l,))
-        for seq, l in hIII_table or ():
-            check_indices(params, seq, (l,))
-        for seq in hIV_table or ():
-            check_indices(params, seq)
+        free = {}  # diagonal generator -> stored eigenvalue
+        free.update((gen_l(l, l, seq, seq), v) for (l, seq), v in (hII_table or {}).items())
+        free.update((gen_r(l, l, seq, seq), v) for (seq, l), v in (hIII_table or {}).items())
+        free.update((gen_s(seq, seq), v) for seq, v in (hIV_table or {}).items())
+        for g in free:
+            g.validate(params)
+            if mode == "free" and not in_b4(g):
+                raise ValueError(
+                    f"free-mode entry {g!r} is outside basis b4; "
+                    "its eigenvalue follows from the b4 entries"
+                )
         self.params = params
-        self.alpha = _frac(alpha)
+        self.alpha = _as_fraction(alpha)
         self.hI_table = {
-            (l1, tuple(seq), l2): _frac(v)
+            (l1, tuple(seq), l2): _as_fraction(v)
             for (l1, seq, l2), v in (hI_table or {}).items()
             if v
         }
         self.mode = mode
-        self.hII_table = {
-            (l, tuple(seq)): _frac(v) for (l, seq), v in (hII_table or {}).items() if v
-        }
-        self.hIII_table = {
-            (tuple(seq), l): _frac(v) for (seq, l), v in (hIII_table or {}).items() if v
-        }
-        self.hIV_table = {tuple(seq): _frac(v) for seq, v in (hIV_table or {}).items() if v}
-        if mode == "af" and (self.hII_table or self.hIII_table or self.hIV_table):
+        self._free = {g: _as_fraction(v) for g, v in free.items() if v}
+        self.hII_table, self.hIII_table, self.hIV_table = _free_tables(self._free)
+        if mode == "af" and self._free:
             raise ValueError("af mode derives the end and interior tables")
         self._memo: dict = {}
 
@@ -182,146 +178,44 @@ class Weight:
             total += occ * v
         return total
 
-    # -- kind II -------------------------------------------------------------
+    # -- kinds II, III, IV -----------------------------------------------------
     def h_II(self, l: int, seq) -> Fraction:
-        seq = tuple(seq)
-        key = ("II", l, seq)
-        if key in self._memo:
-            return self._memo[key]
-        if self.mode == "af":
-            val = self._sum_II(l, seq)
-        elif not seq or seq[-1] != 1:
-            val = self.hII_table.get((l, seq), Fraction(0))
-        else:
-            n = run_length(seq, 1, True)
-            base = seq[:-n]
-            val = self.h_II(l, base)
-            for p in range(n):
-                pad = base + _ones(p)
-                for j in range(2, self.params.colors + 1):
-                    val -= self.h_II(l, pad + (j,))
-                for m2 in self.params.flavor_range():
-                    val -= self.h_I(l, pad, m2)
-        self._memo[key] = val
-        return val
+        return self.diagonal_eigenvalue(gen_l(l, l, seq, seq))
 
-    # -- kind III ------------------------------------------------------------
     def h_III(self, seq, l: int) -> Fraction:
-        seq = tuple(seq)
-        key = ("III", seq, l)
-        if key in self._memo:
-            return self._memo[key]
-        val = self._h_III_raw(seq, l)
-        self._memo[key] = val
-        return val
+        return self.diagonal_eigenvalue(gen_r(l, l, seq, seq))
 
-    def _h_III_raw(self, seq: tuple, l: int) -> Fraction:
-        if self.mode == "af":
-            return self._sum_III(seq, l)
-        if not seq:
-            if l != 1:
-                return self.hIII_table.get((seq, l), Fraction(0))
-            return self._anchor_III()
-        if seq[0] != 1:
-            return self.hIII_table.get((seq, l), Fraction(0))
-        n = run_length(seq, 1, False)
-        rest = seq[n:]
-        if rest or l != 1:
-            val = self.h_III(rest, l)
-            for p in range(n):
-                pad = _ones(p) + rest
-                for i in range(2, self.params.colors + 1):
-                    val -= self.h_III((i,) + pad, l)
-                for m1 in self.params.flavor_range():
-                    val -= self.h_I(m1, pad, l)
-            return val
-        val = self._anchor_III()
-        for p in range(n):
-            pad = _ones(p)
-            for i in range(2, self.params.colors + 1):
-                val -= self.h_III((i,) + pad, 1)
-            for m1 in self.params.flavor_range():
-                val -= self.h_I(m1, pad, 1)
-        return val
-
-    def _anchor_III(self) -> Fraction:
-        # value at the empty sequence with unit flavor, fixed by the left end
-        val = Fraction(0)
-        for m in self.params.flavor_range():
-            val += self.h_II(m, ())
-        for m in range(2, self.params.flavors + 1):
-            val -= self.h_III((), m)
-        return val
-
-    # -- kind IV ---------------------------------------------------------------
     def h_IV(self, seq) -> Fraction:
-        seq = tuple(seq)
-        key = ("IV", seq)
-        if key in self._memo:
-            return self._memo[key]
-        val = self._h_IV_raw(seq)
-        self._memo[key] = val
-        return val
-
-    def _h_IV_raw(self, seq: tuple) -> Fraction:
-        if self.mode == "af":
-            return self._sum_IV(seq)
-        if not seq or (seq[0] != 1 and seq[-1] != 1):
-            return self.hIV_table.get(seq, Fraction(0))
-        if seq[0] == 1:
-            m = run_length(seq, 1, False)
-            tail = seq[m:]
-            if not tail or tail[-1] != 1:
-                val = self.h_IV(tail)
-                for p in range(m):
-                    pad = _ones(p) + tail
-                    for i in range(2, self.params.colors + 1):
-                        val -= self.h_IV((i,) + pad)
-                    for l in self.params.flavor_range():
-                        val -= self.h_II(l, pad)
-                return val
-            n = run_length(tail, 1, True)
-            core = tail[:-n]
-            head = _ones(m) + core
-            val = self.h_IV(head)
-            for p in range(n):
-                pad = head + _ones(p)
-                for j in range(2, self.params.colors + 1):
-                    val -= self.h_IV(pad + (j,))
-                for l in self.params.flavor_range():
-                    val -= self.h_III(pad, l)
-            return val
-        n = run_length(seq, 1, True)
-        core = seq[:-n]
-        val = self.h_IV(core)
-        for p in range(n):
-            pad = core + _ones(p)
-            for j in range(2, self.params.colors + 1):
-                val -= self.h_IV(pad + (j,))
-            for l in self.params.flavor_range():
-                val -= self.h_III(pad, l)
-        return val
+        return self.diagonal_eigenvalue(gen_s(seq, seq))
 
     def diagonal_eigenvalue(self, g: Generator) -> Fraction:
-        """Eigenvalue of a diagonal generator on the lowest weight vector."""
-        if g.upper != g.lower:
+        """Eigenvalue of a diagonal generator on the lowest weight vector.
+
+        Free mode reads a basis-b4 generator from its table and evaluates any
+        other one through its b4 rewrite, whose terms are all diagonal b4
+        generators; af mode evaluates the finite support sums.
+        """
+        if g.upper != g.lower or g.flavors[0::2] != g.flavors[1::2]:
             raise ValueError(f"{g!r} is not diagonal")
         if g.kind == KIND_F:
-            l1, l2, l3, l4 = g.flavors
-            if l1 != l2 or l3 != l4:
-                raise ValueError(f"{g!r} is not diagonal")
-            return self.h_I(l1, g.upper, l3)
-        if g.kind == KIND_L:
-            l1, l2 = g.flavors
-            if l1 != l2:
-                raise ValueError(f"{g!r} is not diagonal")
-            return self.h_II(l1, g.upper)
-        if g.kind == KIND_R:
-            l1, l2 = g.flavors
-            if l1 != l2:
-                raise ValueError(f"{g!r} is not diagonal")
-            return self.h_III(g.upper, l1)
-        return self.h_IV(g.upper)
+            return self.h_I(g.flavors[0], g.upper, g.flavors[2])
+        val = self._memo.get(g)
+        if val is None:
+            if self.mode == "af":
+                if g.kind == KIND_L:
+                    val = self._sum_II(g.flavors[0], g.upper)
+                elif g.kind == KIND_R:
+                    val = self._sum_III(g.upper, g.flavors[0])
+                else:
+                    val = self._sum_IV(g.upper)
+            elif in_b4(g):
+                val = self._free.get(g, Fraction(0))
+            else:
+                val = Fraction(0)
+                for t, c in to_b4_gen(g, self.params):
+                    val += c * self.diagonal_eigenvalue(t)
+            self._memo[g] = val
+        return val
 
 
 # ---------------------------------------------------------------------------
@@ -368,62 +262,40 @@ def is_approximately_finite(w: Weight) -> bool:
         return True
     # free tables must reproduce the derived sums
     probe = Weight(w.params, alpha=0, hI_table=w.hI_table, mode="af")
-    max_len = max((len(s) for (_l1, s, _l2) in w.hI_table), default=0)
-    max_len = max(
-        max_len,
-        max((len(s) for (_l, s) in w.hII_table), default=0),
-        max((len(s) for (s, _l) in w.hIII_table), default=0),
-        max((len(s) for s in w.hIV_table), default=0),
+    return all(
+        w.diagonal_eigenvalue(g) == probe.diagonal_eigenvalue(g)
+        for g in _free_args(w.params, _table_len(w))
     )
-    for l, seq in _free_args_II(w.params, max_len):
-        if w.h_II(l, seq) != probe.h_II(l, seq):
-            return False
-    for seq, l in _free_args_III(w.params, max_len):
-        if w.h_III(seq, l) != probe.h_III(seq, l):
-            return False
-    for seq in _free_args_IV(w.params, max_len):
-        if w.h_IV(seq) != probe.h_IV(seq):
-            return False
-    return True
 
 
-def _free_args_II(params: AlgebraParams, max_len: int):
+def _free_args(params: AlgebraParams, max_len: int):
+    """Diagonal end and interior generators in b4 with sequences up to max_len."""
     for seq in all_seqs(params, max_len):
-        if seq and seq[-1] == 1:
-            continue
+        gens = [gen_s(seq, seq)]
         for l in params.flavor_range():
-            yield (l, seq)
+            gens += [gen_l(l, l, seq, seq), gen_r(l, l, seq, seq)]
+        yield from filter(in_b4, gens)
 
 
-def _free_args_III(params: AlgebraParams, max_len: int):
-    for seq in all_seqs(params, max_len):
-        for l in params.flavor_range():
-            if not seq and l == 1:
-                continue
-            if seq and seq[0] == 1:
-                continue
-            yield (seq, l)
+def _table_len(w: Weight) -> int:
+    """Length of the longest sequence in any table of w."""
+    seqs = [s for (_l1, s, _l2) in w.hI_table] + [g.upper for g in w._free]
+    return max(map(len, seqs), default=0)
 
 
-def _free_args_IV(params: AlgebraParams, max_len: int):
-    for seq in all_seqs(params, max_len):
-        if seq and (seq[0] == 1 or seq[-1] == 1):
-            continue
-        yield seq
+def _free_tables(values: dict) -> tuple:
+    """{diagonal generator: value} as the (hII, hIII, hIV) tables of Weight."""
+    return (
+        {(g.flavors[0], g.upper): v for g, v in values.items() if g.kind == KIND_L},
+        {(g.upper, g.flavors[0]): v for g, v in values.items() if g.kind == KIND_R},
+        {g.upper: v for g, v in values.items() if g.kind == KIND_S},
+    )
 
 
 def free_weight_from_af(af: Weight, max_len: int) -> Weight:
     """Free-mode copy whose free tables carry the derived sums up to max_len."""
-    params = af.params
-    return Weight(
-        params,
-        alpha=0,
-        hI_table=af.hI_table,
-        mode="free",
-        hII_table={(l, s): af.h_II(l, s) for l, s in _free_args_II(params, max_len)},
-        hIII_table={(s, l): af.h_III(s, l) for s, l in _free_args_III(params, max_len)},
-        hIV_table={s: af.h_IV(s) for s in _free_args_IV(params, max_len)},
-    )
+    values = {g: af.diagonal_eigenvalue(g) for g in _free_args(af.params, max_len)}
+    return Weight(af.params, 0, af.hI_table, "free", *_free_tables(values))
 
 
 def tail_parameters(w: Weight) -> tuple:
@@ -440,40 +312,13 @@ def split_weight(w: Weight) -> tuple:
     shift part keeps the constant whole-chain value alpha and the excess
     of the end/interior tables over the finite part's derived sums.
     """
-    params = w.params
-    w_af = Weight(params, alpha=0, hI_table=w.hI_table, mode="af")
-    max_len = max((len(s) for (_l1, s, _l2) in w.hI_table), default=0) + 1
-    max_len = max(
-        max_len,
-        max((len(s) for (_l, s) in w.hII_table), default=0),
-        max((len(s) for (s, _l) in w.hIII_table), default=0),
-        max((len(s) for s in w.hIV_table), default=0),
-    )
-    tII = {}
-    for l, seq in _free_args_II(params, max_len):
-        d = w.h_II(l, seq) - w_af.h_II(l, seq)
-        if d:
-            tII[(l, seq)] = d
-    tIII = {}
-    for seq, l in _free_args_III(params, max_len):
-        d = w.h_III(seq, l) - w_af.h_III(seq, l)
-        if d:
-            tIII[(seq, l)] = d
-    tIV = {}
-    for seq in _free_args_IV(params, max_len):
-        d = w.h_IV(seq) - w_af.h_IV(seq)
-        if d:
-            tIV[seq] = d
-    w_ti = Weight(
-        params,
-        alpha=w.alpha,
-        hI_table={},
-        mode="free",
-        hII_table=tII,
-        hIII_table=tIII,
-        hIV_table=tIV,
-    )
-    return (w.alpha, w_af, w_ti)
+    w_af = Weight(w.params, alpha=0, hI_table=w.hI_table, mode="af")
+    # beyond the longest table sequence both weights vanish on the free arguments
+    shift = {
+        g: w.diagonal_eigenvalue(g) - w_af.diagonal_eigenvalue(g)
+        for g in _free_args(w.params, _table_len(w))
+    }
+    return (w.alpha, w_af, Weight(w.params, w.alpha, {}, "free", *_free_tables(shift)))
 
 
 # ---------------------------------------------------------------------------

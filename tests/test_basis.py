@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from chainalg import (
     AlgebraParams,
     element,
@@ -16,7 +18,7 @@ from chainalg import (
     to_b0,
     to_b4,
 )
-from chainalg.basis import b4_rewrite_depth, enumerate_generators
+from chainalg.basis import _to_b4_gen_depth, b4_rewrite_depth, enumerate_generators, to_b0_gen
 from chainalg.bracket import sigma_left_expansion, sigma_right_expansion
 from chainalg.checks import random_element, random_generator
 from chainalg.core import Combination
@@ -173,6 +175,25 @@ def test_canonical_equality_decides_action_equality():
         other = e + element(P21, (1, g))
         assert to_b0(other, P21) != to_b0(e, P21)
         assert not equal_on_chains(other, e, 6)
+
+
+def test_rewrite_rejects_mismatched_params():
+    # colour 2 is out of range at lambda=1: no silent relabelling
+    e = element(P21, gen_l(1, 1, (2,), (2,)))
+    for rewrite in (to_b0, to_b4):
+        with pytest.raises(ValueError, match="mismatch"):
+            rewrite(e, P11)
+        assert rewrite(e, P21) == rewrite(e)
+
+
+def test_rewrite_caches_are_clearable():
+    g = gen_l(1, 1, (2, 1), (2, 1))
+    for cached, rewrite in ((to_b0_gen, to_b0), (_to_b4_gen_depth, to_b4)):
+        before = rewrite(element(P21, g))
+        assert cached.cache_info().currsize > 0
+        cached.cache_clear()
+        assert cached.cache_info().currsize == 0
+        assert rewrite(element(P21, g)) == before
 
 
 def test_b4_rewrite_depth_is_bounded():

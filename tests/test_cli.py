@@ -286,6 +286,16 @@ def test_cli_unopenable_file_exit_code(tmp_path, capsys):
     assert err == [f"chainalg: cannot open {missing}: No such file or directory"] * 2
 
 
+def test_cli_gram_rejects_free_entry_outside_b4(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("lambda 2\nlambda_f 1\nmode free\nIV [1] 4\n")
+    assert main(["gram", "--weight", str(path), "--max-size", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "s[1|1]" in err[0] and "outside basis b4" in err[0]
+
+
 def test_cli_check_deterministic_given_seed(capsys):
     argv = [
         "check",

@@ -1,6 +1,8 @@
 """Weight tables, recursion closure, approximate finiteness, splitting."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from chainalg import (
     weight_from_partition,
     write_weight,
 )
-from chainalg.core import IndexRangeError, seq_key
+from chainalg.basis import in_b4
+from chainalg.core import IndexRangeError, all_seqs, gen_l, gen_r, gen_s, seq_key
 from chainalg.weights import DivergentSumError, check_partition, free_weight_from_af
 
 P11 = AlgebraParams(1, 1)
@@ -217,6 +220,26 @@ def test_weight_file_rejects_bad_indices_and_duplicates():
         read_weight(head + "lambda 3\n")
 
 
+def test_free_tables_reject_arguments_outside_b4():
+    # l(1,1)[1|1], r(1,1)[|] and s[1|1] are not in b4: their values are derived
+    cases = (
+        ({"hII_table": {(1, (1,)): 5}}, "l(1,1)[1|1]"),
+        ({"hIII_table": {((), 1): 7}}, "r(1,1)[|]"),
+        ({"hIV_table": {(1,): 4}}, "s[1|1]"),
+    )
+    for tables, name in cases:
+        with pytest.raises(ValueError, match="outside basis b4") as err:
+            Weight(P21, mode="free", **tables)
+        assert name in str(err.value)
+    head = "lambda 2\nlambda_f 1\nmode free\n"
+    for line in ("IV [1] 4\n", "III [] 1 7\n", "II 1 [2,1] 1\n"):
+        with pytest.raises(ValueError, match="outside basis b4"):
+            read_weight(head + line)
+    # the same arguments stay usable as derived values, and b4 entries are stored
+    w = read_weight(head + "II 1 [2] 3\nIII [2] 1 1\nIV [2] 1\n")
+    assert w.h_II(1, (2,)) == 3 and w.h_III((2,), 1) == 1 and w.h_IV((2,)) == 1
+
+
 def test_weight_file_errors():
     with pytest.raises(ValueError):
         read_weight("alpha 1\n")
@@ -224,3 +247,91 @@ def test_weight_file_errors():
         read_weight("lambda 2\nlambda_f 1\nI 1 [1 1 1\n")
     with pytest.raises(ValueError):
         read_weight("lambda 2\nlambda_f 1\nbogus 3\n")
+
+
+# ---------------------------------------------------------------------------
+# free-mode golden: values recorded on tables that are not derived from af
+
+FREE_GOLDEN_PARAMS = (P11, P21, AlgebraParams(1, 2), P22)
+
+
+def _random_free_weight(rng, params):
+    """Free weight with nonzero alpha and random tables on b4 arguments up to length 3."""
+
+    def value():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    seqs = list(all_seqs(params, 3))
+    fl = list(params.flavor_range())
+    tI = {(rng.choice(fl), rng.choice(seqs), rng.choice(fl)): value() for _ in range(3)}
+    tII, tIII, tIV = {}, {}, {}
+    for seq in seqs:
+        for l in fl:
+            if in_b4(gen_l(l, l, seq, seq)) and rng.random() < 0.5:
+                tII[(l, seq)] = value()
+            if in_b4(gen_r(l, l, seq, seq)) and rng.random() < 0.5:
+                tIII[(seq, l)] = value()
+        if in_b4(gen_s(seq, seq)) and rng.random() < 0.5:
+            tIV[seq] = value()
+    return Weight(
+        params,
+        alpha=value(),
+        hI_table=tI,
+        mode="free",
+        hII_table=tII,
+        hIII_table=tIII,
+        hIV_table=tIV,
+    )
+
+
+def _free_golden_lines():
+    rng = random.Random(20261018)
+    lines = []
+    for params in FREE_GOLDEN_PARAMS:
+        tag = f"{params.colors},{params.flavors}"
+        for k in range(3):
+            w = _random_free_weight(rng, params)
+            for seq in all_seqs(params, 4):
+                for l in params.flavor_range():
+                    lines.append(f"{tag} {k} II {l} {seq} {w.h_II(l, seq)}")
+                    lines.append(f"{tag} {k} III {seq} {l} {w.h_III(seq, l)}")
+                lines.append(f"{tag} {k} IV {seq} {w.h_IV(seq)}")
+            _alpha, _w_af, w_ti = split_weight(w)
+            for name in ("hII_table", "hIII_table", "hIV_table"):
+                lines.append(f"{tag} {k} shift {name} {sorted(getattr(w_ti, name).items())}")
+            for seq in all_seqs(params, 3):
+                lines.append(f"{tag} {k} shift IV {seq} {w_ti.h_IV(seq)}")
+            lines.append(f"{tag} {k} af {is_approximately_finite(w)}")
+            # the same tables with alpha 0, and an af-consistent weight before and
+            # after one free entry is changed, reach the sum-rule comparison
+            zero = Weight(
+                params,
+                alpha=0,
+                hI_table=w.hI_table,
+                mode="free",
+                hII_table=w.hII_table,
+                hIII_table=w.hIII_table,
+                hIV_table=w.hIV_table,
+            )
+            lines.append(f"{tag} {k} af0 {is_approximately_finite(zero)}")
+            good = free_weight_from_af(weight_from_partition((k + 2, 1), params), 3)
+            lines.append(f"{tag} {k} good {is_approximately_finite(good)}")
+            tIV = dict(good.hIV_table)
+            seq = rng.choice(sorted(tIV, key=seq_key))
+            tIV[seq] += 1
+            bad = Weight(
+                params,
+                hI_table=good.hI_table,
+                mode="free",
+                hII_table=good.hII_table,
+                hIII_table=good.hIII_table,
+                hIV_table=tIV,
+            )
+            lines.append(f"{tag} {k} bad {seq} {is_approximately_finite(bad)}")
+    return lines
+
+
+def test_free_mode_values_golden():
+    # SHA-256 of the lines, recorded before free mode evaluated through to_b4
+    digest = hashlib.sha256("\n".join(_free_golden_lines()).encode()).hexdigest()
+    assert digest == "b0cbe42d7efb00b80b70c0b850b2fa9bf5e7589d7f18c80ac2456996223f0a8a"
