@@ -8,16 +8,22 @@ operators restricted by first/last-index conditions, plus the extended
 interior operators.
 
 Rewriting a generator into either basis uses finite substitution
-identities that leave the action on every chain unchanged; rewriting
-into b4 recurses, stripping leading or trailing 1-blocks, and the
-recursion depth is bounded by the total index size plus two.
+identities that leave the action on every chain unchanged, applied
+recursively.  Rewriting into b0 needs two rules, l(1,1) and a whole-chain
+operator with right flavor pair (1,1); the rewrite is unique because b0
+is a basis, so chaining them reproduces any one-shot expansion.  Rewriting
+into b4 strips leading or trailing 1-blocks, and its recursion depth is
+bounded by the total index size plus two.
 
 Basis b0 is invariant under chain reversal (mirror_gen), so its
 right-end substitutions are the mirror images of the left-end ones.
 Basis b4 is not: it keeps every left-end operator with an empty
 sequence, but drops a right-end one with flavor pair (1,1) when both
 sequences are empty or the nonempty one starts with 1 (l(1,1)[|1] is in
-b4, r(1,1)[|1] is not).  Its rules stay written out in full.
+b4, r(1,1)[|1] is not), so its rules stay written out for both ends.
+Both bases are invariant under the anti-involution omega, which swaps
+upper and lower data, so the right-end deleter rule (r(1,1)[|1...]) is
+the omega image of the inserter rule (r(1,1)[1...|]).
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .core import (
     gen_s,
     mirror,
     mirror_gen,
+    omega,
+    omega_gen,
     run_length,
 )
 
@@ -73,59 +81,26 @@ def in_b4(g: Generator) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rewriting into b0: one-shot substitutions
+# rewriting into b0: recursive substitution
 
-def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
-    if g.kind == KIND_R or (
-        g.kind == KIND_F and g.flavors[:2] == (1, 1) and g.flavors[2:] != (1, 1)
-    ):
+def _b0_step(g: Generator, params: AlgebraParams) -> Element:
+    """One substitution step for a generator outside b0."""
+    if g.kind == KIND_R or (g.kind == KIND_F and g.flavors[2:] != (1, 1)):
         # (1,1) pair at the right end only: mirror image of the left-end case
-        return mirror(_b0_expand(mirror_gen(g), params))
+        return mirror(_b0_step(mirror_gen(g), params))
     up, lo = g.upper, g.lower
     colors, flavors = params.color_range(), params.flavor_range()
-    items = []
     if g.kind == KIND_L:
         # left-end operator with flavor pair (1,1)
-        items.append((gen_s(up, lo), 1))
+        items = [(gen_s(up, lo), 1)]
         items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
         items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
-    elif g.flavors[:2] != (1, 1):
-        # whole-chain operator, right flavor pair (1,1) only
+    else:
+        # whole-chain operator with right flavor pair (1,1)
         l1, l2 = g.flavors[:2]
-        items.append((gen_l(l1, l2, up, lo), 1))
+        items = [(gen_l(l1, l2, up, lo), 1)]
         items += [(gen_l(l1, l2, up + (j,), lo + (j,)), -1) for j in colors]
         items += [(gen_f(l1, l2, m, m, up, lo), -1) for m in flavors if m >= 2]
-    else:
-        # both flavor pairs equal to (1,1)
-        items.append((gen_s(up, lo), 1))
-        items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
-        items += [(gen_s(up + (j,), lo + (j,)), -1) for j in colors]
-        items += [
-            (gen_s((i,) + up + (j,), (i,) + lo + (j,)), 1)
-            for i in colors
-            for j in colors
-        ]
-        items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
-        items += [
-            (gen_l(m, m, up + (j,), lo + (j,)), 1)
-            for m in flavors
-            if m >= 2
-            for j in colors
-        ]
-        items += [(gen_r(m, m, up, lo), -1) for m in flavors if m >= 2]
-        items += [
-            (gen_r(m, m, (i,) + up, (i,) + lo), 1)
-            for m in flavors
-            if m >= 2
-            for i in colors
-        ]
-        items += [
-            (gen_f(m1, m1, m2, m2, up, lo), 1)
-            for m1 in flavors
-            if m1 >= 2
-            for m2 in flavors
-            if m2 >= 2
-        ]
     return Combination.from_items(params, items)
 
 
@@ -133,7 +108,7 @@ def _b0_expand(g: Generator, params: AlgebraParams) -> Element:
 def to_b0_gen(g: Generator, params: AlgebraParams) -> Element:
     if in_b0(g):
         return Combination.term(params, g)
-    return _b0_expand(g, params)
+    return to_b0(_b0_step(g, params), params)
 
 
 def _check_params(e: Element, params: AlgebraParams | None) -> AlgebraParams:
@@ -157,6 +132,9 @@ def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
 def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     """One substitution step for a generator outside b4."""
     up, lo = g.upper, g.lower
+    if g.kind == KIND_R and lo and not up:
+        # deleter with unit flavors: omega image of the inserter rule
+        return omega(_b4_step(omega_gen(g), params))
     colors, flavors = params.color_range(), params.flavor_range()
     items = []
     if g.kind == KIND_L:
@@ -188,14 +166,6 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
             items += [(gen_s((1,) + core + (j,), (j,)), -1) for j in colors if j >= 2]
             items += [(gen_l(m, m, core + (1,), ()), 1) for m in flavors]
             items += [(gen_r(m, m, (1,) + core, ()), -1) for m in flavors if m >= 2]
-        elif lo and not up:
-            core = lo[1:]
-            items.append((gen_s((), (1,) + core), 1))
-            items.append((gen_s((), core + (1,)), -1))
-            items += [(gen_s((i,), (i,) + core + (1,)), 1) for i in colors if i >= 2]
-            items += [(gen_s((j,), (1,) + core + (j,)), -1) for j in colors if j >= 2]
-            items += [(gen_l(m, m, (), core + (1,)), 1) for m in flavors]
-            items += [(gen_r(m, m, (), (1,) + core), -1) for m in flavors if m >= 2]
         else:
             # both sequences start with 1: strip one leading 1
             bu, bl = up[1:], lo[1:]

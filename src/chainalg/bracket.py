@@ -9,12 +9,14 @@ kind-s generator) first replace it by the equivalent combination of
 one-step-longer interior operators plus left-end operators, which acts
 identically on every chain.
 
-Only the left-end rows are written out.  Chain reversal induces the
-automorphism mirror_gen of the algebra (sequences reversed, l and r
-swapped), so each right-end row, and the right-end expansion of an
-interior operator, is the mirror image of its left-end twin.  (Basis b4
-is not mirror-symmetric, so its rewriting rules in basis.py stay
-written out for both ends.)
+Only the left-end rows are written out, each only in half.  Chain
+reversal induces the automorphism mirror_gen of the algebra (sequences
+reversed, l and r swapped), so each right-end row, and the right-end
+expansion of an interior operator, is the mirror image of its left-end
+twin.  The anti-involution omega (upper and lower data swapped) is an
+anti-automorphism, [omega b, omega a] = omega [a, b], so each row writes
+only the half where a's lower data meets b's upper data; the other half
+is the omega image of that half, with the sign flipped.
 
 Grade-zero generators split into raising, diagonal and lowering by
 comparing the upper index word (sequence followed by its flavor indices)
@@ -28,6 +30,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .basis import to_b0
 from .core import (
     KIND_F,
     KIND_L,
@@ -44,6 +47,8 @@ from .core import (
     grade,
     mirror,
     mirror_gen,
+    omega_flavors,
+    omega_gen,
 )
 
 
@@ -85,148 +90,118 @@ def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# generator-pair brackets; each helper yields (Generator, +-1) contributions
+# generator-pair brackets; each half takes the fields (fa, I, J, fb, K, L) of
+# a = (flavors fa, upper I, lower J) and b = (fb, K, L) and yields the
+# generators, each with coefficient +1, where a's lower data meets b's upper data
 
-def _ff(a: Generator, b: Generator):
-    a1, a2, a3, a4 = a.flavors
-    b1, b2, b3, b4 = b.flavors
-    if b1 == a2 and b.upper == a.lower and b3 == a4:
-        yield gen_f(a1, b2, a3, b4, a.upper, b.lower), 1
-    if a1 == b2 and a.upper == b.lower and a3 == b4:
-        yield gen_f(b1, a2, b3, a4, b.upper, a.lower), -1
+def _ff(fa, I, J, fb, K, L):
+    a1, a2, a3, a4 = fa
+    b1, b2, b3, b4 = fb
+    if b1 == a2 and K == J and b3 == a4:
+        yield gen_f(a1, b2, a3, b4, I, L)
 
 
-def _fl(a: Generator, b: Generator):
-    a1, a2, a3, a4 = a.flavors
-    b1, b2 = b.flavors
+def _fl(fa, I, J, fb, K, L):
+    a1, a2, a3, a4 = fa
+    b1, b2 = fb
     if b1 == a2:
-        for j1, j2 in _splits2(a.lower):
-            if j1 == b.upper:
-                yield gen_f(a1, b2, a3, a4, a.upper, b.lower + j2), 1
-    if a1 == b2:
-        for i1, i2 in _splits2(a.upper):
-            if i1 == b.lower:
-                yield gen_f(b1, a2, a3, a4, b.upper + i2, a.lower), -1
+        for j1, j2 in _splits2(J):
+            if j1 == K:
+                yield gen_f(a1, b2, a3, a4, I, L + j2)
 
 
-def _fs(a: Generator, b: Generator):
-    a1, a2, a3, a4 = a.flavors
-    for j1, j2, j3 in _splits3(a.lower, ne=(False, True, False)):
-        if j2 == b.upper:
-            yield gen_f(a1, a2, a3, a4, a.upper, j1 + b.lower + j3), 1
-    for i1, i2, i3 in _splits3(a.upper, ne=(False, True, False)):
-        if i2 == b.lower:
-            yield gen_f(a1, a2, a3, a4, i1 + b.upper + i3, a.lower), -1
-
-
-def _ll(a: Generator, b: Generator):
-    a1, a2 = a.flavors
-    b1, b2 = b.flavors
-    if b1 == a2:
-        if b.upper == a.lower:
-            yield gen_l(a1, b2, a.upper, b.lower), 1
-        for j1, j2 in _splits2(a.lower, ne2=True):
-            if j1 == b.upper:
-                yield gen_l(a1, b2, a.upper, b.lower + j2), 1
-        for k1, k2 in _splits2(b.upper, ne2=True):
-            if k1 == a.lower:
-                yield gen_l(a1, b2, a.upper + k2, b.lower), 1
-    if a1 == b2:
-        if a.upper == b.lower:
-            yield gen_l(b1, a2, b.upper, a.lower), -1
-        for l1, l2 in _splits2(b.lower, ne2=True):
-            if l1 == a.upper:
-                yield gen_l(b1, a2, b.upper, a.lower + l2), -1
-        for i1, i2 in _splits2(a.upper, ne2=True):
-            if i1 == b.lower:
-                yield gen_l(b1, a2, b.upper + i2, a.lower), -1
-
-
-def _lr(a: Generator, b: Generator):
-    a1, a2 = a.flavors
-    b1, b2 = b.flavors
-    for j1, j2 in _splits2(a.lower):
-        for k1, k2 in _splits2(b.upper):
-            if k1 == j2:
-                yield gen_f(a1, a2, b1, b2, a.upper + k2, j1 + b.lower), 1
-    for i1, i2 in _splits2(a.upper):
-        for l1, l2 in _splits2(b.lower):
-            if i2 == l1:
-                yield gen_f(a1, a2, b1, b2, i1 + b.upper, a.lower + l2), -1
-
-
-def _ls(a: Generator, b: Generator):
-    a1, a2 = a.flavors
-    K, L = b.upper, b.lower
-    I, J = a.upper, a.lower
-    if J == K:
-        yield gen_l(a1, a2, I, L), 1
-    for k1, k2 in _splits2(K, ne1=True, ne2=True):
-        if k1 == J:
-            yield gen_l(a1, a2, I + k2, L), 1
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+def _fs(fa, I, J, fb, K, L):
+    for j1, j2, j3 in _splits3(J, ne=(False, True, False)):
         if j2 == K:
-            yield gen_l(a1, a2, I, j1 + L), 1
-        if j1 == K:
-            yield gen_l(a1, a2, I, L + j2), 1
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        for k1, k2 in _splits2(K, ne1=True, ne2=True):
-            if k1 == j2:
-                yield gen_l(a1, a2, I + k2, j1 + L), 1
-    for j1, j2, j3 in _splits3(J):
-        if j2 == K:
-            yield gen_l(a1, a2, I, j1 + L + j3), 1
-    if I == L:
-        yield gen_l(a1, a2, K, J), -1
-    for l1, l2 in _splits2(L, ne1=True, ne2=True):
-        if I == l1:
-            yield gen_l(a1, a2, K, J + l2), -1
-    for i1, i2 in _splits2(I, ne1=True, ne2=True):
-        if i2 == L:
-            yield gen_l(a1, a2, i1 + K, J), -1
-        if i1 == L:
-            yield gen_l(a1, a2, K + i2, J), -1
-    for l1, l2 in _splits2(L, ne1=True, ne2=True):
-        for i1, i2 in _splits2(I, ne1=True, ne2=True):
-            if i2 == l1:
-                yield gen_l(a1, a2, i1 + K, J + l2), -1
-    for i1, i2, i3 in _splits3(I):
-        if i2 == L:
-            yield gen_l(a1, a2, i1 + K + i3, J), -1
+            yield gen_f(*fa, I, j1 + L + j3)
 
 
-def _ss_half(I, J, K, L):
+def _ll(fa, I, J, fb, K, L):
+    a1, a2 = fa
+    b1, b2 = fb
+    if b1 != a2:
+        return
     if K == J:
-        yield gen_s(I, L), 1
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        if K == j2:
-            yield gen_s(I, j1 + L), 1
-        if K == j1:
-            yield gen_s(I, L + j2), 1
+        yield gen_l(a1, b2, I, L)
+    for j1, j2 in _splits2(J, ne2=True):
+        if j1 == K:
+            yield gen_l(a1, b2, I, L + j2)
+    for k1, k2 in _splits2(K, ne2=True):
+        if k1 == J:
+            yield gen_l(a1, b2, I + k2, L)
+
+
+def _lr(fa, I, J, fb, K, L):
+    for j1, j2 in _splits2(J):
+        for k1, k2 in _splits2(K):
+            if k1 == j2:
+                yield gen_f(*fa, *fb, I + k2, j1 + L)
+
+
+def _ls(fa, I, J, fb, K, L):
+    a1, a2 = fa
+    if J == K:
+        yield gen_l(a1, a2, I, L)
     for k1, k2 in _splits2(K, ne1=True, ne2=True):
         if k1 == J:
-            yield gen_s(I + k2, L), 1
-        if k2 == J:
-            yield gen_s(k1 + I, L), 1
+            yield gen_l(a1, a2, I + k2, L)
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        if j2 == K:
+            yield gen_l(a1, a2, I, j1 + L)
+        if j1 == K:
+            yield gen_l(a1, a2, I, L + j2)
     for j1, j2 in _splits2(J, ne1=True, ne2=True):
         for k1, k2 in _splits2(K, ne1=True, ne2=True):
             if k1 == j2:
-                yield gen_s(I + k2, j1 + L), 1
+                yield gen_l(a1, a2, I + k2, j1 + L)
+    for j1, j2, j3 in _splits3(J):
+        if j2 == K:
+            yield gen_l(a1, a2, I, j1 + L + j3)
+
+
+def _ss(fa, I, J, fb, K, L):
+    if K == J:
+        yield gen_s(I, L)
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        if K == j2:
+            yield gen_s(I, j1 + L)
+        if K == j1:
+            yield gen_s(I, L + j2)
+    for k1, k2 in _splits2(K, ne1=True, ne2=True):
+        if k1 == J:
+            yield gen_s(I + k2, L)
+        if k2 == J:
+            yield gen_s(k1 + I, L)
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        for k1, k2 in _splits2(K, ne1=True, ne2=True):
+            if k1 == j2:
+                yield gen_s(I + k2, j1 + L)
             if k2 == j1:
-                yield gen_s(k1 + I, L + j2), 1
+                yield gen_s(k1 + I, L + j2)
     for j1, j2, j3 in _splits3(J):
         if K == j2:
-            yield gen_s(I, j1 + L + j3), 1
+            yield gen_s(I, j1 + L + j3)
     for k1, k2, k3 in _splits3(K):
         if k2 == J:
-            yield gen_s(k1 + I + k3, L), 1
+            yield gen_s(k1 + I + k3, L)
 
 
-def _ss(a: Generator, b: Generator):
-    for g, c in _ss_half(a.upper, a.lower, b.upper, b.lower):
-        yield g, c
-    for g, c in _ss_half(b.upper, b.lower, a.upper, a.lower):
-        yield g, -c
+def _commutator(half):
+    """The row [a, b] = half(a, b) - omega half(omega a, omega b).
+
+    omega is an anti-automorphism, so the terms where b's lower data meets
+    a's upper data are the omega image of the half for the omega-fields:
+    both sequences swapped, each flavor pair transposed.
+    """
+
+    def row(a: Generator, b: Generator):
+        for g in half(a.flavors, a.upper, a.lower, b.flavors, b.upper, b.lower):
+            yield g, 1
+        wa, wb = omega_flavors(a.flavors), omega_flavors(b.flavors)
+        for g in half(wa, a.lower, a.upper, wb, b.lower, b.upper):
+            yield omega_gen(g), -1
+
+    return row
 
 
 def _mirrored(row):
@@ -240,16 +215,16 @@ def _mirrored(row):
 
 
 _TABLE = {
-    (KIND_F, KIND_F): _ff,
-    (KIND_F, KIND_L): _fl,
-    (KIND_F, KIND_R): _mirrored(_fl),
-    (KIND_F, KIND_S): _fs,
-    (KIND_L, KIND_L): _ll,
-    (KIND_L, KIND_R): _lr,
-    (KIND_L, KIND_S): _ls,
-    (KIND_R, KIND_R): _mirrored(_ll),
-    (KIND_R, KIND_S): _mirrored(_ls),
-    (KIND_S, KIND_S): _ss,
+    (KIND_F, KIND_F): _commutator(_ff),
+    (KIND_F, KIND_L): _commutator(_fl),
+    (KIND_F, KIND_R): _mirrored(_commutator(_fl)),
+    (KIND_F, KIND_S): _commutator(_fs),
+    (KIND_L, KIND_L): _commutator(_ll),
+    (KIND_L, KIND_R): _commutator(_lr),
+    (KIND_L, KIND_S): _commutator(_ls),
+    (KIND_R, KIND_R): _mirrored(_commutator(_ll)),
+    (KIND_R, KIND_S): _mirrored(_commutator(_ls)),
+    (KIND_S, KIND_S): _commutator(_ss),
 }
 
 
@@ -345,8 +320,6 @@ def is_root_vector(e: Element):
 
 def cartan_commutes(g1: Generator, g2: Generator, params: AlgebraParams) -> bool:
     """Exact check that two diagonal generators commute, in canonical form."""
-    from .basis import to_b0
-
     for g in (g1, g2):
         if classify(g) is not TriangularClass.DIAGONAL:
             raise ValueError(f"{g!r} is not diagonal")

@@ -343,6 +343,9 @@ def main(argv=None) -> int:
     except (ExprSyntaxError, IndexRangeError, ValueError) as exc:
         print(f"chainalg: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("chainalg: input too large: Python recursion limit exceeded", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # downstream consumer (head, less, ...) closed the stream
         return 0

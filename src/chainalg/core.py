@@ -354,17 +354,14 @@ def element(params: AlgebraParams, *scaled_gens) -> Element:
 # ---------------------------------------------------------------------------
 # involutions
 
+def omega_flavors(flavors: tuple) -> tuple:
+    """Each flavor pair transposed: (a, b, c, d) -> (b, a, d, c)."""
+    return flavors[1::-1] + flavors[3:1:-1]
+
+
 def omega_gen(g: Generator) -> Generator:
     """Swap upper and lower data: sequences exchanged, flavor pairs transposed."""
-    if g.kind == KIND_F:
-        l1, l2, l3, l4 = g.flavors
-        fl = (l2, l1, l4, l3)
-    elif g.kind in (KIND_L, KIND_R):
-        l1, l2 = g.flavors
-        fl = (l2, l1)
-    else:
-        fl = ()
-    return Generator(g.kind, g.lower, g.upper, fl)
+    return Generator(g.kind, g.lower, g.upper, omega_flavors(g.flavors))
 
 
 def omega(e: Element) -> Element:

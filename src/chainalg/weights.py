@@ -394,11 +394,14 @@ def read_weight(text: str) -> Weight:
         table[key] = value
     if "lambda" not in header or "lambda_f" not in header:
         raise ValueError("weight file must set lambda and lambda-f")
+    mode = header.get("mode", "af")
+    if mode == "af" and header.get("alpha", 0):
+        raise ValueError("an af-mode weight file needs alpha 0: its derived sums diverge")
     return Weight(
         AlgebraParams(header["lambda"], header["lambda_f"]),
         alpha=header.get("alpha", 0),
         hI_table=tI,
-        mode=header.get("mode", "af"),
+        mode=mode,
         hII_table=tII or None,
         hIII_table=tIII or None,
         hIV_table=tIV or None,

@@ -1,5 +1,6 @@
 """Basis membership, rewriting soundness, exact independence."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,10 +19,16 @@ from chainalg import (
     to_b0,
     to_b4,
 )
-from chainalg.basis import _to_b4_gen_depth, b4_rewrite_depth, enumerate_generators, to_b0_gen
+from chainalg.basis import (
+    _to_b4_gen_depth,
+    b4_rewrite_depth,
+    enumerate_generators,
+    to_b0_gen,
+    to_b4_gen,
+)
 from chainalg.bracket import sigma_left_expansion, sigma_right_expansion
 from chainalg.checks import random_element, random_generator
-from chainalg.core import Combination
+from chainalg.core import Combination, render_element
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
@@ -210,3 +217,18 @@ def test_independence_examples():
     assert independence_check_b0(P11, 1, 3)
     assert independence_check_b0(P11, 0, 2)
     assert independence_check_b0(P21, 2, 4)
+
+
+def test_rewrites_golden():
+    # to_b0_gen, to_b4_gen and b4_rewrite_depth of every generator of index
+    # size <= 3 (1,671); the digest was recorded with every rule written out
+    lines = []
+    for params in (P22, AlgebraParams(1, 2), P21):
+        for g in enumerate_generators(params, 3):
+            b0 = render_element(to_b0_gen(g, params))
+            b4 = render_element(to_b4_gen(g, params))
+            depth = b4_rewrite_depth(g, params)
+            lines.append(f"{params.colors},{params.flavors} {g!r} {b0} ; {b4} ; {depth}")
+    assert len(lines) == 1671
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b0dce2f6b366e6a3835e21d515a782156d9412cbfcc9502a6c3e8c95d550fac7"

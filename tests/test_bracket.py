@@ -1,5 +1,6 @@
 """Bracket tables, grading, triangular classes, Cartan data."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,10 +19,26 @@ from chainalg import (
     grade,
     is_root_vector,
 )
-from chainalg.basis import enumerate_generators, to_b0, to_b0_gen, to_b4
+from chainalg.basis import (
+    enumerate_generators,
+    in_b0,
+    in_b4,
+    to_b0,
+    to_b0_gen,
+    to_b4,
+    to_b4_gen,
+)
 from chainalg.bracket import bracket_gen, index_words, is_extended_sigma
 from chainalg.chains import Chain, act, all_chains, chain_state, equal_on_chains
-from chainalg.core import Combination, charge, mirror, mirror_gen, omega_gen
+from chainalg.core import (
+    Combination,
+    charge,
+    mirror,
+    mirror_gen,
+    omega,
+    omega_gen,
+    render_element,
+)
 from chainalg.checks import commutator_of_actions_ok, random_element, random_generator
 
 P21 = AlgebraParams(2, 1)
@@ -231,3 +248,56 @@ def test_charge_is_a_grading():
                 want = charge(x, y)
                 for z in list(e.keys()) + list(to_b4(e, P22).keys()):
                     assert charge(z) == want
+
+
+def _size(g):
+    return len(g.upper) + len(g.lower)
+
+
+def test_omega_is_an_anti_automorphism_exhaustive():
+    # each bracket row writes only the half where a's lower data meets b's
+    # upper data and derives the other through omega; both bases are
+    # omega-invariant, so their rewrites must commute with omega exactly
+    for params, max_size in ((AlgebraParams(1, 2), 2), (P22, 3)):
+        gens = list(enumerate_generators(params, max_size))
+        for g in gens:
+            w = omega_gen(g)
+            assert omega_gen(w) == g
+            assert in_b0(w) == in_b0(g) and in_b4(w) == in_b4(g)
+            assert to_b0_gen(w, params) == omega(to_b0_gen(g, params))
+            assert to_b4_gen(w, params) == omega(to_b4_gen(g, params))
+        sized = [(g, _size(g)) for g in gens if _size(g) <= 2]
+        for a, na in sized:
+            wa = omega_gen(a)
+            for b, nb in sized:
+                if params == P22 and na + nb > 2:
+                    continue
+                assert bracket_gen(omega_gen(b), wa, params) == omega(bracket_gen(a, b, params))
+        bracket_gen.cache_clear()
+
+
+def _bracket_golden_lines():
+    # (colors, flavors), largest index size of each generator, largest combined size
+    for (colors, flavors), each, combined in (
+        ((1, 1), 4, 8),
+        ((2, 1), 2, 4),
+        ((1, 2), 2, 4),
+        ((2, 2), 2, 2),
+    ):
+        params = AlgebraParams(colors, flavors)
+        gens = list(enumerate_generators(params, each))
+        for a in gens:
+            for b in gens:
+                if _size(a) + _size(b) <= combined:
+                    out = render_element(bracket_gen(a, b, params))
+                    yield f"{colors},{flavors} {a!r} {b!r} {out}"
+
+
+def test_bracket_table_golden():
+    # every row, s-s overlaps included (61,349 pairs); the digest was
+    # recorded with both halves of every row written out
+    lines = list(_bracket_golden_lines())
+    bracket_gen.cache_clear()
+    assert len(lines) == 61349
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b2df100fab49f675f7fbd671496e91b7f6aa44b44acf4949eb1b098b740fbf57"

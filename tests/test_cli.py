@@ -1,7 +1,11 @@
 """Expression grammar, round trips, subcommands, exit codes."""
 
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -294,6 +298,38 @@ def test_cli_gram_rejects_free_entry_outside_b4(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and "s[1|1]" in err[0] and "outside basis b4" in err[0]
+
+
+@pytest.mark.parametrize("mode_line", ["mode af\n", ""], ids=["mode-af", "no-mode"])
+@pytest.mark.parametrize("size", ["1", "2"])
+def test_cli_gram_rejects_af_weight_with_alpha(tmp_path, capsys, mode_line, size):
+    # af sums diverge for a nonzero tail; the file is refused at every size
+    path = tmp_path / "w.txt"
+    path.write_text("lambda 2\nlambda_f 1\n" + mode_line + "alpha 1\n")
+    assert main(["gram", "--weight", str(path), "--max-size", size, "--inertia"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "alpha 0" in err[0]
+    path.write_text("lambda 2\nlambda_f 1\nmode free\nalpha 1\n")
+    assert main(["gram", "--weight", str(path), "--max-size", size]) == 0
+
+
+def test_cli_recursion_limit_exit_code():
+    # a deep b4 rewrite exhausts Python's recursion limit: a usage error, not a crash
+    ones = ",1" * 500
+    expr = f"s[2{ones}|2{ones}]"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainalg", "rewrite", "--basis", "b4", expr,
+         "--lambda", "2", "--lambda-f", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode != 1
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stderr.startswith("chainalg: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_check_deterministic_given_seed(capsys):
