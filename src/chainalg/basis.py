@@ -11,30 +11,34 @@ Rewriting a generator into either basis uses finite substitution
 identities that leave the action on every chain unchanged, applied
 recursively.  Rewriting into b0 needs two rules, l(1,1) and a whole-chain
 operator with right flavor pair (1,1); the rewrite is unique because b0
-is a basis, so chaining them reproduces any one-shot expansion.  Rewriting
-into b4 strips leading or trailing 1-blocks, and its recursion depth is
-bounded by the total index size plus two.
+is a basis, so chaining them reproduces any one-shot expansion.
 
 Basis b0 is invariant under chain reversal (mirror_gen), so its
 right-end substitutions are the mirror images of the left-end ones.
-Basis b4 is not: it keeps every left-end operator with an empty
-sequence, but drops a right-end one with flavor pair (1,1) when both
-sequences are empty or the nonempty one starts with 1 (l(1,1)[|1] is in
-b4, r(1,1)[|1] is not), so its rules stay written out for both ends.
-Both bases are invariant under the anti-involution omega, which swaps
-upper and lower data, so the right-end deleter rule (r(1,1)[|1...]) is
-the omega image of the inserter rule (r(1,1)[1...|]).
+Rewriting into b4 needs one block rule: a left-end or interior operator
+whose sequences both end in 1 loses the whole shared trailing 1-block in
+one step.  Both sequences starting with 1 (a right-end operator with two
+nonempty sequences, or an interior one whose sequences do not both end
+in 1) is the mirror image of that case.  Basis b4 breaks mirror
+invariance only at right-end operators with flavor pair (1,1) and an
+empty sequence: it keeps every left-end operator with an empty sequence
+but drops r(1,1)[|], r(1,1)[1...|] and r(1,1)[|1...].  The first two
+rules are written out; the deleter rule r(1,1)[|1...] is the omega image
+of the inserter rule r(1,1)[1...|], because both bases are invariant
+under the anti-involution omega, which swaps upper and lower data.  The
+b4 recursion depth is bounded by the total index size plus two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     KIND_F,
     KIND_L,
     KIND_R,
+    KIND_S,
     AlgebraParams,
     Combination,
     Element,
@@ -135,55 +139,39 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     if g.kind == KIND_R and lo and not up:
         # deleter with unit flavors: omega image of the inserter rule
         return omega(_b4_step(omega_gen(g), params))
+    if (g.kind == KIND_R and up and lo) or (g.kind == KIND_S and not (up[-1] == lo[-1] == 1)):
+        # both sequences start with 1 (an interior operator strips trailing
+        # 1s first): mirror image of the trailing-block rule
+        return mirror(_b4_step(mirror_gen(g), params))
     colors, flavors = params.color_range(), params.flavor_range()
-    items = []
-    if g.kind == KIND_L:
-        # both sequences end in 1: strip the shared trailing 1-block at once
-        l1, l2 = g.flavors
+    if g.kind == KIND_R and not up:
+        # diagonal end operator with unit flavors
+        items = [(gen_l(m, m, (), ()), 1) for m in flavors]
+        items += [(gen_r(m, m, (), ()), -1) for m in flavors if m >= 2]
+    elif g.kind == KIND_R:
+        # upper sequence starts with 1, unit flavors
+        core = up[1:]
+        items = [(gen_s((1,) + core, ()), 1), (gen_s(core + (1,), ()), -1)]
+        items += [(gen_s((i,) + core + (1,), (i,)), 1) for i in colors if i >= 2]
+        items += [(gen_s((1,) + core + (j,), (j,)), -1) for j in colors if j >= 2]
+        items += [(gen_l(m, m, core + (1,), ()), 1) for m in flavors]
+        items += [(gen_r(m, m, (1,) + core, ()), -1) for m in flavors if m >= 2]
+    else:
+        # left-end or interior operator, both sequences end in 1: strip the
+        # shared trailing 1-block at once; the chains whose body ends right
+        # after the stripped prefix are caught by f (left end) or r (interior)
+        if g.kind == KIND_L:
+            l1, l2 = g.flavors
+            op, cap = partial(gen_l, l1, l2), lambda m, u, v: gen_f(l1, l2, m, m, u, v)
+        else:
+            op, cap = gen_s, lambda m, u, v: gen_r(m, m, u, v)
         n = min(run_length(up, 1, True), run_length(lo, 1, True))
         bu, bl = up[:-n], lo[:-n]
-        items.append((gen_l(l1, l2, bu, bl), 1))
+        items = [(op(bu, bl), 1)]
         for p in range(n):
-            pad = (1,) * p
-            items += [
-                (gen_l(l1, l2, bu + pad + (j,), bl + pad + (j,)), -1)
-                for j in colors
-                if j >= 2
-            ]
-            items += [(gen_f(l1, l2, m, m, bu + pad, bl + pad), -1) for m in flavors]
-    elif g.kind == KIND_R:
-        l1, l2 = g.flavors
-        if not up and not lo:
-            # diagonal end operator with unit flavors
-            items += [(gen_l(m, m, (), ()), 1) for m in flavors]
-            items += [(gen_r(m, m, (), ()), -1) for m in flavors if m >= 2]
-        elif up and not lo:
-            # upper sequence starts with 1, unit flavors
-            core = up[1:]
-            items.append((gen_s((1,) + core, ()), 1))
-            items.append((gen_s(core + (1,), ()), -1))
-            items += [(gen_s((i,) + core + (1,), (i,)), 1) for i in colors if i >= 2]
-            items += [(gen_s((1,) + core + (j,), (j,)), -1) for j in colors if j >= 2]
-            items += [(gen_l(m, m, core + (1,), ()), 1) for m in flavors]
-            items += [(gen_r(m, m, (1,) + core, ()), -1) for m in flavors if m >= 2]
-        else:
-            # both sequences start with 1: strip one leading 1
-            bu, bl = up[1:], lo[1:]
-            items.append((gen_r(l1, l2, bu, bl), 1))
-            items += [(gen_r(l1, l2, (i,) + bu, (i,) + bl), -1) for i in colors if i >= 2]
-            items += [(gen_f(m, m, l1, l2, bu, bl), -1) for m in flavors]
-    else:
-        # interior operator, both sequences nonempty
-        if up[-1] == 1 and lo[-1] == 1:
-            bu, bl = up[:-1], lo[:-1]
-            items.append((gen_s(bu, bl), 1))
-            items += [(gen_s(bu + (j,), bl + (j,)), -1) for j in colors if j >= 2]
-            items += [(gen_r(m, m, bu, bl), -1) for m in flavors]
-        else:
-            bu, bl = up[1:], lo[1:]
-            items.append((gen_s(bu, bl), 1))
-            items += [(gen_s((i,) + bu, (i,) + bl), -1) for i in colors if i >= 2]
-            items += [(gen_l(m, m, bu, bl), -1) for m in flavors]
+            u, v = bu + (1,) * p, bl + (1,) * p
+            items += [(op(u + (j,), v + (j,)), -1) for j in colors if j >= 2]
+            items += [(cap(m, u, v), -1) for m in flavors]
     return Combination.from_items(params, items)
 
 
@@ -268,7 +256,7 @@ def sparse_rank(rows: list) -> int:
 
 def independence_check_b0(params: AlgebraParams, max_size: int, max_len: int) -> bool:
     """Exact rank of the action matrix equals the number of b0 generators."""
-    from .chains import act_gen, all_chains
+    from .chains import _act_gen_chain, all_chains
 
     gens = enumerate_b0(params, max_size)
     col_ids: dict = {}
@@ -276,7 +264,7 @@ def independence_check_b0(params: AlgebraParams, max_size: int, max_len: int) ->
     for g in gens:
         row: dict = {}
         for c in all_chains(params, max_len):
-            for out, coeff in act_gen(g, c, params):
+            for out, coeff in _act_gen_chain(g, c):
                 key = (c, out)
                 cid = col_ids.setdefault(key, len(col_ids))
                 row[cid] = row.get(cid, 0) + coeff

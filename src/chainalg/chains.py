@@ -112,8 +112,9 @@ def act(e: Element, psi: ChainState) -> ChainState:
     return Combination.from_items(psi.params, items)
 
 
-def act_gen(g: Generator, c: Chain, params: AlgebraParams) -> ChainState:
-    return Combination.from_items(params, _act_gen_chain(g, c))
+def matrix_element(g: Generator, src: Chain, dst: Chain) -> int:
+    """Coefficient of dst in g . src."""
+    return sum(m for out, m in _act_gen_chain(g, src) if out == dst)
 
 
 def all_chains(params: AlgebraParams, max_len: int):

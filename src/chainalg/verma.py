@@ -17,6 +17,10 @@ words of equal charge (the weight-space splitting of the Shapovalov
 form).  gram_matrix computes in-charge pairs only; inertia eliminates each
 block of the nonzero pattern alone.  No elimination step leaves its block,
 so the output equals one whole-matrix elimination exactly.
+
+The truncated interior norm counts paddings through the chain action:
+the splitting count is a matrix element of an interior operator between
+two padded chains (chains.matrix_element), as the af weight sums are.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 
 from .basis import enumerate_generators, in_b4, to_b4
 from .bracket import TriangularClass, bracket, bracket_gen, classify, index_words
-from .chains import act_tensor, inner_chain, lowest_weight_vector_concrete
+from .chains import Chain, act_tensor, inner_chain, lowest_weight_vector_concrete, matrix_element
 from .core import (
     AlgebraParams,
     Combination,
@@ -367,22 +371,10 @@ def sl2_triple(upper, lower, flavors, params: AlgebraParams):
 # truncated interior operators and their norms
 
 def _splitting_count(upper, lower, left, right) -> int:
-    """Number of outer-padding pairs reproducing both padded words at once."""
-    word_up = left + upper + right
-    word_lo = left + lower + right
-    count = 0
-    for a in range(len(left) + len(right) + 1):
-        k1 = word_up[:a]
-        if word_up[a : a + len(upper)] != upper:
-            continue
-        l1 = word_up[a + len(upper) :]
-        if (
-            word_lo[:a] == k1
-            and word_lo[a : a + len(lower)] == lower
-            and word_lo[a + len(lower) :] == l1
-        ):
-            count += 1
-    return count
+    """Number of ways s[upper|lower] turns the padded lower word into the padded upper one."""
+    return matrix_element(
+        gen_s(upper, lower), Chain(1, left + lower + right, 1), Chain(1, left + upper + right, 1)
+    )
 
 
 def _padding_pairs(params: AlgebraParams, depth: int):

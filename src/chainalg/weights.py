@@ -7,9 +7,10 @@ many deviations, so eventually-constant weights are closed form.
 
 Two modes:
 
-* ``af``  the end and interior tables are derived from the whole-chain
-  table by the finite support sums (tail alpha must be zero); this is
-  the weight of a Young-symmetrized tensor power of the defining
+* ``af``  an end or interior eigenvalue is the whole-chain table
+  contracted with the generator's diagonal matrix elements on chains
+  (``chains.matrix_element``), a finite sum when the tail alpha is zero;
+  this is the weight of a Young-symmetrized tensor power of the defining
   representation when the table comes from a partition.
 * ``free``  the tables on basis-b4 diagonal arguments are free finitely
   supported data; any other diagonal generator equals its b4 rewrite
@@ -144,40 +145,6 @@ class Weight:
     def h_I(self, l1: int, seq, l2: int) -> Fraction:
         return self.alpha + self.hI_table.get((l1, tuple(seq), l2), Fraction(0))
 
-    # -- derived sums (af mode) ---------------------------------------------
-    def _require_finite(self):
-        if self.alpha != 0:
-            raise DivergentSumError(
-                "derived-table sums diverge for a nonzero constant tail"
-            )
-
-    def _sum_II(self, l: int, seq: tuple) -> Fraction:
-        self._require_finite()
-        k = len(seq)
-        total = Fraction(0)
-        for (m1, s, _m2), v in self.hI_table.items():
-            if m1 == l and s[:k] == seq:
-                total += v
-        return total
-
-    def _sum_III(self, seq: tuple, l: int) -> Fraction:
-        self._require_finite()
-        k = len(seq)
-        total = Fraction(0)
-        for (_m1, s, m2), v in self.hI_table.items():
-            if m2 == l and (k == 0 or s[len(s) - k :] == seq):
-                total += v
-        return total
-
-    def _sum_IV(self, seq: tuple) -> Fraction:
-        self._require_finite()
-        k = len(seq)
-        total = Fraction(0)
-        for (_m1, s, _m2), v in self.hI_table.items():
-            occ = sum(1 for a in range(len(s) - k + 1) if s[a : a + k] == seq)
-            total += occ * v
-        return total
-
     # -- kinds II, III, IV -----------------------------------------------------
     def h_II(self, l: int, seq) -> Fraction:
         return self.diagonal_eigenvalue(gen_l(l, l, seq, seq))
@@ -193,7 +160,8 @@ class Weight:
 
         Free mode reads a basis-b4 generator from its table and evaluates any
         other one through its b4 rewrite, whose terms are all diagonal b4
-        generators; af mode evaluates the finite support sums.
+        generators; af mode contracts the whole-chain table with the
+        generator's diagonal matrix elements on chains.
         """
         if g.upper != g.lower or g.flavors[0::2] != g.flavors[1::2]:
             raise ValueError(f"{g!r} is not diagonal")
@@ -202,12 +170,17 @@ class Weight:
         val = self._memo.get(g)
         if val is None:
             if self.mode == "af":
-                if g.kind == KIND_L:
-                    val = self._sum_II(g.flavors[0], g.upper)
-                elif g.kind == KIND_R:
-                    val = self._sum_III(g.upper, g.flavors[0])
-                else:
-                    val = self._sum_IV(g.upper)
+                from .chains import Chain, matrix_element
+
+                if self.alpha != 0:
+                    raise DivergentSumError(
+                        "derived-table sums diverge for a nonzero constant tail"
+                    )
+                val = sum(
+                    (v * matrix_element(g, Chain(*arg), Chain(*arg))
+                     for arg, v in self.hI_table.items()),
+                    Fraction(0),
+                )
             elif in_b4(g):
                 val = self._free.get(g, Fraction(0))
             else:

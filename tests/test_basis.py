@@ -232,3 +232,17 @@ def test_rewrites_golden():
     assert len(lines) == 1671
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b0dce2f6b366e6a3835e21d515a782156d9412cbfcc9502a6c3e8c95d550fac7"
+
+
+def test_b4_rewrites_golden_beyond_size3():
+    # to_b4_gen of 5,178 generators: (2,2) at index size <= 4, (1,2) and (2,1)
+    # at <= 5, (1,1) at <= 7; the digest was recorded while every leading-1
+    # rule was written out and each step stripped one 1
+    lines = []
+    for params, size in ((P22, 4), (AlgebraParams(1, 2), 5), (P21, 5), (P11, 7)):
+        for g in enumerate_generators(params, size):
+            b4 = render_element(to_b4_gen(g, params))
+            lines.append(f"{params.colors},{params.flavors} {g!r} {b4}")
+    assert len(lines) == 5178
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9cfe009ce9a9a8e786f06324bdd0a6a9add920af7d1ab1a9f6c02fcbf40aca70"

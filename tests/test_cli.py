@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from chainalg import AlgebraParams, IndexRangeError, element, gen_f, gen_l, gen_s
+from chainalg import AlgebraParams, IndexRangeError, element, gen_f, gen_l, gen_s, in_b4
 from chainalg.checks import random_element
 from chainalg.cli import ExprSyntaxError, main, parse, render_chain_state
 from chainalg.core import render_element
@@ -316,7 +316,8 @@ def test_cli_gram_rejects_af_weight_with_alpha(tmp_path, capsys, mode_line, size
 
 
 def test_cli_recursion_limit_exit_code():
-    # a deep b4 rewrite exhausts Python's recursion limit: a usage error, not a crash
+    # a b4 rewrite too deep for Python's recursion limit is a usage error, not a
+    # crash; this input's trailing 1-block is stripped in one step, so it exits 0
     ones = ",1" * 500
     expr = f"s[2{ones}|2{ones}]"
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -330,6 +331,24 @@ def test_cli_recursion_limit_exit_code():
     assert "Traceback" not in proc.stderr
     if proc.returncode == 2:
         assert proc.stderr.startswith("chainalg: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_rewrites_long_one_blocks():
+    # 500 shared 1s take one block-stripping step each way, not one Python
+    # call level per 1
+    ones = ",1" * 500
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for expr, flavors in ((f"s[2{ones}|2{ones}]", 1), (f"r(1,1)[1{ones}|1{ones}]", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainalg", "rewrite", "--basis", "b4", expr,
+             "--lambda", "2", "--lambda-f", str(flavors)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        params = AlgebraParams(2, flavors)
+        out = parse(proc.stdout.strip(), params).as_element()
+        assert out.keys() and all(in_b4(g) for g in out.keys())
 
 
 def test_cli_check_deterministic_given_seed(capsys):

@@ -335,3 +335,40 @@ def test_free_mode_values_golden():
     # SHA-256 of the lines, recorded before free mode evaluated through to_b4
     digest = hashlib.sha256("\n".join(_free_golden_lines()).encode()).hexdigest()
     assert digest == "b0cbe42d7efb00b80b70c0b850b2fa9bf5e7589d7f18c80ac2456996223f0a8a"
+
+
+def _random_af_weight(rng, params):
+    """af weight on a random table of up to five arguments of length <= 3."""
+    seqs = list(all_seqs(params, 3))
+    fl = list(params.flavor_range())
+    table = {}
+    for _ in range(rng.randint(1, 5)):
+        arg = (rng.choice(fl), rng.choice(seqs), rng.choice(fl))
+        table[arg] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return Weight(params, alpha=0, hI_table=table, mode="af")
+
+
+def test_af_mode_values_golden():
+    # h_II, h_III, h_IV up to length 4 of partition weights and seeded random
+    # tables; the digest was recorded while the af sums matched prefixes,
+    # suffixes and occurrences by hand
+    rng = random.Random(20261019)
+    lines = []
+    for params in FREE_GOLDEN_PARAMS:
+        tag = f"{params.colors},{params.flavors}"
+        weights = [weight_from_partition(g, params) for g in ((1,), (2, 1), (3, 2, 2))]
+        weights += [_random_af_weight(rng, params) for _ in range(2)]
+        for k, w in enumerate(weights):
+            for seq in all_seqs(params, 4):
+                for l in params.flavor_range():
+                    lines.append(f"{tag} {k} II {l} {seq} {w.h_II(l, seq)}")
+                    lines.append(f"{tag} {k} III {seq} {l} {w.h_III(seq, l)}")
+                lines.append(f"{tag} {k} IV {seq} {w.h_IV(seq)}")
+        # a nonzero constant tail makes every derived sum diverge
+        tail = Weight(params, alpha=1, hI_table=weights[-1].hI_table, mode="af")
+        for probe in (lambda: tail.h_II(1, ()), lambda: tail.h_III((1,), 1), lambda: tail.h_IV(())):
+            with pytest.raises(DivergentSumError):
+                probe()
+    assert len(lines) == 1440
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ad6cf71e6b473bcaeb28ed9962132e362024da6ae721ed1067638dd9eca52e2d"
