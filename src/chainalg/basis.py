@@ -124,10 +124,7 @@ def _check_params(e: Element, params: AlgebraParams | None) -> AlgebraParams:
 def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
     """Rewrite into basis b0; equals the input as an open-string-algebra element."""
     params = _check_params(e, params)
-    total = Combination.zero(params)
-    for g, c in e:
-        total = total + to_b0_gen(g, params).scaled(c)
-    return total
+    return e.map(lambda g: to_b0_gen(g, params))
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +187,15 @@ def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
 def _to_b4_gen_depth(g: Generator, params: AlgebraParams):
     if in_b4(g):
         return (Combination.term(params, g), 0)
-    total = Combination.zero(params)
-    depth = 0
-    for h, c in _b4_step(g, params):
-        sub, d = _to_b4_gen_depth(h, params)
-        total = total + sub.scaled(c)
-        depth = max(depth, d)
-    return (total, depth + 1)
+    step = _b4_step(g, params)
+    subs = {h: _to_b4_gen_depth(h, params) for h in step.keys()}
+    return (step.map(lambda h: subs[h][0]), 1 + max((d for _e, d in subs.values()), default=0))
 
 
 def to_b4(e: Element, params: AlgebraParams | None = None) -> Element:
     """Rewrite into basis b4; equals the input as an open-string-algebra element."""
     params = _check_params(e, params)
-    total = Combination.zero(params)
-    for g, c in e:
-        total = total + to_b4_gen(g, params).scaled(c)
-    return total
+    return e.map(lambda g: to_b4_gen(g, params))
 
 
 # ---------------------------------------------------------------------------

@@ -245,11 +245,10 @@ def bracket_gen(a: Generator, b: Generator, params: AlgebraParams) -> Element:
 
 
 def _bracket_element(a: Element, b: Element, params: AlgebraParams) -> Element:
-    total = Combination.zero(params)
-    for g1, c1 in a:
-        for g2, c2 in b:
-            total = total + bracket_gen(g1, g2, params).scaled(c1 * c2)
-    return total
+    return Combination.from_items(
+        params,
+        (t for g1, c1 in a for g2, c2 in b for t in bracket_gen(g1, g2, params).scaled(c1 * c2)),
+    )
 
 
 def bracket(a: Element, b: Element) -> Element:

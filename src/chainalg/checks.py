@@ -1,7 +1,14 @@
-"""Verification suites shared by the CLI check command and the test suite."""
+"""Verification suites shared by the CLI check command and the test suite.
+
+The identity suite derives two of its three whole-chain sums.  The
+right-end sum is the chain-reversal image (mirror) of the left-end sum
+built for the reversed sequences, and the interior sum is
+verma.truncated_interior_element, which must act as zero.
+"""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,8 +33,9 @@ from .core import (
     gen_l,
     gen_r,
     gen_s,
+    mirror,
 )
-from .verma import hermitian_form, pbw_words
+from .verma import hermitian_form, pbw_words, truncated_interior_element
 from .weights import weight_from_partition
 
 
@@ -118,12 +126,14 @@ def suite_identities(params=None, seed=0, cases=0, max_len=5, max_total=3):
                 for l1 in p.flavor_range():
                     for l2 in p.flavor_range():
                         checked += 2
-                        if not _gg_left(p, l1, l2, up, lo, max_len):
+                        if not equal_on_chains(*_gg_left(p, l1, l2, up, lo, max_len), max_len):
                             bad += 1
-                        if not _gg_right(p, l1, l2, up, lo, max_len):
+                        lhs, rhs = _gg_left(p, l1, l2, up[::-1], lo[::-1], max_len)
+                        if not equal_on_chains(mirror(lhs), mirror(rhs), max_len):
                             bad += 1
                 checked += 1
-                if not _gg_interior(p, up, lo, max_len):
+                interior = truncated_interior_element(up, lo, max_len, p)
+                if not equal_on_chains(interior, Combination.zero(p), max_len):
                     bad += 1
         lines.append(
             f"identities (colors={p.colors}, flavors={p.flavors}): "
@@ -133,33 +143,11 @@ def suite_identities(params=None, seed=0, cases=0, max_len=5, max_total=3):
     return ok, lines
 
 
-def _gg_left(params, l1, l2, up, lo, max_len) -> bool:
-    lhs = Combination.term(params, gen_l(l1, l2, up, lo))
-    items = []
-    for tail in all_seqs(params, max_len):
-        for l3 in params.flavor_range():
-            items.append((gen_f(l1, l2, l3, l3, up + tail, lo + tail), 1))
-    return equal_on_chains(lhs, Combination.from_items(params, items), max_len)
-
-
-def _gg_right(params, l1, l2, up, lo, max_len) -> bool:
-    lhs = Combination.term(params, gen_r(l1, l2, up, lo))
-    items = []
-    for head in all_seqs(params, max_len):
-        for l3 in params.flavor_range():
-            items.append((gen_f(l3, l3, l1, l2, head + up, head + lo), 1))
-    return equal_on_chains(lhs, Combination.from_items(params, items), max_len)
-
-
-def _gg_interior(params, up, lo, max_len) -> bool:
-    lhs = Combination.term(params, gen_s(up, lo))
-    items = []
-    for head in all_seqs(params, max_len):
-        for tail in all_seqs(params, max_len - len(head)):
-            for l1 in params.flavor_range():
-                for l2 in params.flavor_range():
-                    items.append((gen_f(l1, l1, l2, l2, head + up + tail, head + lo + tail), 1))
-    return equal_on_chains(lhs, Combination.from_items(params, items), max_len)
+def _gg_left(params, l1, l2, up, lo, max_len) -> tuple:
+    """l(l1,l2)[up|lo] and its whole-chain sum over the padding tails."""
+    tails = itertools.product(all_seqs(params, max_len), params.flavor_range())
+    rhs = [(gen_f(l1, l2, l3, l3, up + tail, lo + tail), 1) for tail, l3 in tails]
+    return Combination.term(params, gen_l(l1, l2, up, lo)), Combination.from_items(params, rhs)
 
 
 def suite_independence(params=None, seed=0, cases=0, max_len=0):

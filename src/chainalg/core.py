@@ -17,6 +17,9 @@ deleter and length counter) are first-class generators as well.
 
 Elements are finitely supported rational linear combinations of
 generators; all arithmetic is exact (fractions.Fraction), never float.
+Combination.map is the one linear extension of a rule on generators; the
+bilinear bracket and module action sum the same scaled terms in one
+flat Combination.from_items.
 """
 
 from __future__ import annotations
@@ -261,6 +264,12 @@ class Combination:
         out = cls(params)
         out.terms = acc
         return out
+
+    def map(self, fn) -> "Combination":
+        """Linear extension of fn over the terms: the sum of c * fn(k)."""
+        return type(self).from_items(
+            self.params, (t for k, c in self.terms.items() for t in fn(k).scaled(c))
+        )
 
     def items(self):
         return self.terms.items()

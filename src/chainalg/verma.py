@@ -25,7 +25,6 @@ two padded chains (chains.matrix_element), as the af weight sums are.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,22 +75,10 @@ def render_word(word: PbwWord) -> str:
 # ---------------------------------------------------------------------------
 # normal ordering
 
-_CACHES: "weakref.WeakKeyDictionary[Weight, dict]" = weakref.WeakKeyDictionary()
-
-
-def _cache_for(w: Weight) -> dict:
-    cache = _CACHES.get(w)
-    if cache is None:
-        cache = {}
-        _CACHES[w] = cache
-    return cache
-
-
 def insert_letter(x: Generator, word: PbwWord, w: Weight) -> VermaState:
     """Normal-ordered state of x applied to an ordered word on the vacuum."""
-    cache = _cache_for(w)
     key = (x, word)
-    hit = cache.get(key)
+    hit = w.letter_memo.get(key)
     if hit is not None:
         return hit
     params = w.params
@@ -106,13 +93,12 @@ def insert_letter(x: Generator, word: PbwWord, w: Weight) -> VermaState:
     elif cls is TriangularClass.RAISING and gen_key(x) >= gen_key(word[0]):
         out = Combination.term(params, (x,) + word)
     else:
+        # x * head * rest = head * (x * rest) + [x, head] * rest
         head, rest = word[0], word[1:]
-        out = Combination.zero(params)
-        for u, c in insert_letter(x, rest, w):
-            out = out + insert_letter(head, u, w).scaled(c)
-        for z, c in to_b4(bracket_gen(x, head, params), params):
-            out = out + insert_letter(z, rest, w).scaled(c)
-    cache[key] = out
+        swapped = insert_letter(x, rest, w).map(lambda u: insert_letter(head, u, w))
+        commutator = to_b4(bracket_gen(x, head, params), params)
+        out = swapped + commutator.map(lambda z: insert_letter(z, rest, w))
+    w.letter_memo[key] = out
     return out
 
 
@@ -120,11 +106,10 @@ def apply_element(e: Element, state: VermaState, w: Weight) -> VermaState:
     """Left action of an algebra element on a module state."""
     if e.params != w.params or state.params != w.params:
         raise ValueError("algebra parameter mismatch")
-    out = Combination.zero(w.params)
-    for g, c in to_b4(e):
-        for u, s in state:
-            out = out + insert_letter(g, u, w).scaled(c * s)
-    return out
+    return Combination.from_items(
+        w.params,
+        (t for g, c in to_b4(e) for u, s in state for t in insert_letter(g, u, w).scaled(c * s)),
+    )
 
 
 def expectation(word, w: Weight) -> Fraction:
@@ -141,66 +126,6 @@ def hermitian_form(e1, e2, w: Weight) -> Fraction:
     """Contravariant pairing of two operator words applied to the vacuum."""
     conj = [omega(e) for e in reversed(list(e1))]
     return expectation(conj + list(e2), w)
-
-
-def _is_normal(word: tuple) -> bool:
-    if any(classify(x) is not TriangularClass.RAISING for x in word):
-        return False
-    keys = [gen_key(x) for x in word]
-    return all(a >= b for a, b in zip(keys, keys[1:]))
-
-
-def reduce_word_random(word: tuple, w: Weight, rng) -> VermaState:
-    """Normal-order a raw letter word by randomly chosen legal local moves.
-
-    Exists to cross-check the deterministic straightening: the result
-    must not depend on the order in which transpositions and vacuum
-    evaluations are applied.
-    """
-    params = w.params
-    out = Combination.zero(params)
-    stack = [(tuple(word), Fraction(1))]
-    while stack:
-        cur, coeff = stack.pop()
-        if _is_normal(cur):
-            out = out + Combination.term(params, cur, coeff)
-            continue
-        moves = []
-        if cur and classify(cur[-1]) is not TriangularClass.RAISING:
-            moves.append(("end", len(cur) - 1))
-        for i in range(len(cur) - 1):
-            x, y = cur[i], cur[i + 1]
-            if classify(x) is not TriangularClass.RAISING:
-                moves.append(("swap", i))
-            elif gen_key(x) < gen_key(y):
-                moves.append(("swap", i))
-        kind, i = moves[rng.randrange(len(moves))]
-        if kind == "end":
-            x = cur[-1]
-            if classify(x) is TriangularClass.DIAGONAL:
-                stack.append((cur[:-1], coeff * w.diagonal_eigenvalue(x)))
-            # lowering letters annihilate the vacuum: drop the word
-            continue
-        x, y = cur[i], cur[i + 1]
-        stack.append((cur[:i] + (y, x) + cur[i + 2 :], coeff))
-        for z, c in to_b4(bracket_gen(x, y, params), params):
-            stack.append((cur[:i] + (z,) + cur[i + 2 :], coeff * c))
-    return out
-
-
-def expectation_random(word, w: Weight, rng) -> Fraction:
-    """Vacuum coefficient via randomized straightening of the expanded product."""
-    raw_words = [((), Fraction(1))]
-    for e in word:
-        expanded = []
-        for prefix, coeff in raw_words:
-            for g, c in to_b4(e):
-                expanded.append((prefix + (g,), coeff * c))
-        raw_words = expanded
-    total = Fraction(0)
-    for raw, coeff in raw_words:
-        total += coeff * reduce_word_random(raw, w, rng).get(())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +187,7 @@ def gram_matrix(w: Weight, max_word_size: int) -> GramMatrix:
                 for x in conj[words[i]]:
                     if state.is_zero():
                         break
-                    nxt = Combination.zero(w.params)
-                    for u, s in state:
-                        nxt = nxt + insert_letter(x, u, w).scaled(s)
-                    state = nxt
+                    state = state.map(lambda u: insert_letter(x, u, w))
                 val = state.get(())
                 entries[i][j] = val
                 entries[j][i] = val

@@ -140,6 +140,8 @@ class Weight:
         if mode == "af" and self._free:
             raise ValueError("af mode derives the end and interior tables")
         self._memo: dict = {}
+        # verma.insert_letter results, keyed by (letter, word)
+        self.letter_memo: dict = {}
 
     # -- kind I ------------------------------------------------------------
     def h_I(self, l1: int, seq, l2: int) -> Fraction:

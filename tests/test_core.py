@@ -21,6 +21,8 @@ from chainalg import (
     render_element,
     seq_compare,
 )
+from chainalg.basis import to_b4_gen
+from chainalg.bracket import bracket_gen
 from chainalg.checks import random_element, random_generator
 
 P21 = AlgebraParams(2, 1)
@@ -134,6 +136,37 @@ def test_element_vector_space_axioms():
         assert (a + b).scaled(s) == a.scaled(s) + b.scaled(s)
         assert a.scaled(s + t) == a.scaled(s) + a.scaled(t)
         assert a - a == Combination.zero(P21)
+
+
+def test_map_is_the_termwise_sum():
+    def fold(e, fn):
+        total = Combination.zero(e.params)
+        for k, c in e:
+            total = total + fn(k).scaled(c)
+        return total
+
+    rng = random.Random(17)
+    shared = gen_s((1,), (1,))
+    x = random_generator(rng, P22)
+    fns = (
+        lambda g: element(P22, g, (Fraction(-1, 2), omega_gen(g))),
+        lambda g: element(P22, (2, g), (-1, shared)),  # shared key in every part
+        lambda g: bracket_gen(g, x, P22),
+        lambda g: to_b4_gen(g, P22),
+    )
+    for _ in range(40):
+        e = random_element(rng, P22, max_terms=4)
+        for fn in fns:
+            out = e.map(fn)
+            assert out == fold(e, fn)
+            assert all(type(c) is Fraction for c in out.terms.values())
+        assert e.map(lambda g: element(P22, shared)).get(shared) == sum(c for _g, c in e)
+    # parts that cancel store nothing
+    cancel = element(P22, (Fraction(3, 2), gen_s((1,), ())), (Fraction(-3, 2), gen_s((2,), ())))
+    out = cancel.map(lambda g: element(P22, shared, (2, gen_f(1, 2, 2, 1, (1,), ()))))
+    assert out.is_zero() and out.terms == {}
+    empty = Combination.zero(P22).map(lambda g: element(P22, g))
+    assert empty.is_zero() and empty.params == P22
 
 
 def test_no_zero_coefficients_stored():

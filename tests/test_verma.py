@@ -25,13 +25,13 @@ from chainalg import (
     vacuum,
     weight_from_partition,
 )
-from chainalg.basis import to_b0
-from chainalg.bracket import TriangularClass, classify
+from chainalg.basis import to_b0, to_b4
+from chainalg.bracket import TriangularClass, bracket_gen, classify
 from chainalg.chains import act_tensor
-from chainalg.core import charge
+from chainalg.core import charge, gen_key
 from chainalg.checks import random_generator
 from chainalg.verma import (
-    expectation_random,
+    VermaState,
     pbw_words,
     raising_letters,
     render_word,
@@ -102,8 +102,6 @@ def test_pbw_words_are_ordered_and_bounded():
             assert word_size(word) <= 3
             for g in word:
                 assert classify(g) is TriangularClass.RAISING
-            from chainalg.core import gen_key
-
             keys = [gen_key(g) for g in word]
             assert all(a >= b for a, b in zip(keys, keys[1:]))
         assert len(set(words)) == len(words)
@@ -267,6 +265,66 @@ def test_sl2_relations_random():
         diff = w.h_I(l2, g.lower, l4) - w.h_I(l1, g.upper, l3)
         assert expectation([h], w) == -diff
         assert diff >= 0 and diff.denominator == 1
+
+
+def _is_normal(word: tuple) -> bool:
+    if any(classify(x) is not TriangularClass.RAISING for x in word):
+        return False
+    keys = [gen_key(x) for x in word]
+    return all(a >= b for a, b in zip(keys, keys[1:]))
+
+
+def reduce_word_random(word: tuple, w: Weight, rng) -> VermaState:
+    """Normal-order a raw letter word by randomly chosen legal local moves.
+
+    Exists to cross-check the deterministic straightening: the result
+    must not depend on the order in which transpositions and vacuum
+    evaluations are applied.
+    """
+    params = w.params
+    out = Combination.zero(params)
+    stack = [(tuple(word), Fraction(1))]
+    while stack:
+        cur, coeff = stack.pop()
+        if _is_normal(cur):
+            out = out + Combination.term(params, cur, coeff)
+            continue
+        moves = []
+        if cur and classify(cur[-1]) is not TriangularClass.RAISING:
+            moves.append(("end", len(cur) - 1))
+        for i in range(len(cur) - 1):
+            x, y = cur[i], cur[i + 1]
+            if classify(x) is not TriangularClass.RAISING:
+                moves.append(("swap", i))
+            elif gen_key(x) < gen_key(y):
+                moves.append(("swap", i))
+        kind, i = moves[rng.randrange(len(moves))]
+        if kind == "end":
+            x = cur[-1]
+            if classify(x) is TriangularClass.DIAGONAL:
+                stack.append((cur[:-1], coeff * w.diagonal_eigenvalue(x)))
+            # lowering letters annihilate the vacuum: drop the word
+            continue
+        x, y = cur[i], cur[i + 1]
+        stack.append((cur[:i] + (y, x) + cur[i + 2 :], coeff))
+        for z, c in to_b4(bracket_gen(x, y, params), params):
+            stack.append((cur[:i] + (z,) + cur[i + 2 :], coeff * c))
+    return out
+
+
+def expectation_random(word, w: Weight, rng) -> Fraction:
+    """Vacuum coefficient via randomized straightening of the expanded product."""
+    raw_words = [((), Fraction(1))]
+    for e in word:
+        expanded = []
+        for prefix, coeff in raw_words:
+            for g, c in to_b4(e):
+                expanded.append((prefix + (g,), coeff * c))
+        raw_words = expanded
+    total = Fraction(0)
+    for raw, coeff in raw_words:
+        total += coeff * reduce_word_random(raw, w, rng).get(())
+    return total
 
 
 def test_straightening_order_independence():
