@@ -6,6 +6,12 @@ combinations of chains; equality of algebra elements in the open string
 algebra means equality of their actions on every chain, which this
 module probes up to a chosen body length.
 
+_act_gen_chain is the one rule for a single generator on a single chain.
+act and act_tensor apply it only to the terms that can act: each element
+is indexed once by the chain data its terms read (whole chain, prefix,
+suffix, interior word), and a one-entry memo keyed by identity keeps the
+index while equal_on_chains acts with the same difference on every chain.
+
 Young symmetrizers cut invariant subspaces out of tensor powers; the
 projected tensor of the leading chains in the standard argument
 enumeration is a concrete lowest weight vector.
@@ -21,6 +27,7 @@ from .core import (
     KIND_F,
     KIND_L,
     KIND_R,
+    KIND_S,
     AlgebraParams,
     Combination,
     Element,
@@ -78,6 +85,8 @@ def _act_gen_chain(g: Generator, c: Chain):
         if c.left == l2 and body[:k] == g.lower:
             yield Chain(l1, g.upper + body[k:], c.right), 1
     elif g.kind == KIND_R:
+        # written out, not derived through mirror_gen: the right-end identity
+        # then checks this branch against the f branch, not a mirror copy
         l1, l2 = g.flavors
         k = len(g.lower)
         if c.right == l2 and (k == 0 or body[-k:] == g.lower):
@@ -100,13 +109,75 @@ def _act_gen_chain(g: Generator, c: Chain):
                     yield Chain(c.left, body[:start] + up + body[start + k :], c.right), 1
 
 
+def _index_terms(e: Element) -> tuple:
+    """Tables from the chain data each term of e reads to its (generator, coeff).
+
+    f terms are keyed by (left flavor, lower word, right flavor); l and r
+    terms by (end flavor, lower word) and s terms with a nonempty lower word
+    by that word, one table per lower length.  The length counter and the
+    inserters act on every chain and sit in a plain list.
+    """
+    whole, left, right, inner, every = {}, {}, {}, {}, []
+    for g, coeff in e:
+        kind, lo = g.kind, g.lower
+        if kind == KIND_F:
+            table, key = whole, (g.flavors[1], lo, g.flavors[3])
+        elif kind == KIND_L:
+            table, key = left.setdefault(len(lo), {}), (g.flavors[1], lo)
+        elif kind == KIND_R:
+            table, key = right.setdefault(len(lo), {}), (g.flavors[1], lo)
+        elif lo:
+            table, key = inner.setdefault(len(lo), {}), lo
+        else:
+            every.append((g, coeff))
+            continue
+        table.setdefault(key, []).append((g, coeff))
+    return whole, left, right, inner, every
+
+
+def _terms_on(index: tuple, c: Chain) -> list:
+    """The indexed terms whose lower data occurs in c: the only ones that act."""
+    whole, left, right, inner, every = index
+    body = c.body
+    n = len(body)
+    terms = every + whole.get((c.left, body, c.right), [])
+    for k, table in left.items():
+        if k <= n:
+            terms += table.get((c.left, body[:k]), ())
+    for k, table in right.items():
+        if k <= n:
+            terms += table.get((c.right, body[n - k :]), ())
+    for k, table in inner.items():
+        # each distinct occurrence once; _act_gen_chain counts the repeats
+        for sub in {body[i : i + k] for i in range(n - k + 1)}:
+            terms += table.get(sub, ())
+    return terms
+
+
+# One-entry memo: equal_on_chains acts with the same difference on every
+# chain.  Holding the element keeps its id from being reused while stored;
+# the pair is read and replaced whole, so a concurrent caller never mixes
+# one element with another's index.
+_last_index = (None, None)  # (element, _index_terms(element))
+
+
+def _index_of(e: Element) -> tuple:
+    global _last_index
+    held, index = _last_index
+    if held is not e:
+        index = _index_terms(e)
+        _last_index = (e, index)
+    return index
+
+
 def act(e: Element, psi: ChainState) -> ChainState:
     """Bilinear extension of the generator action to states."""
     if e.params != psi.params:
         raise ValueError("algebra parameter mismatch between element and state")
+    index = _index_of(e)
     items = []
     for c, w in psi:
-        for g, coeff in e:
+        for g, coeff in _terms_on(index, c):
             for out, mult in _act_gen_chain(g, c):
                 items.append((out, coeff * w * mult))
     return Combination.from_items(psi.params, items)
@@ -149,11 +220,12 @@ def act_tensor(e: Element, psi: TensorState) -> TensorState:
     """Derivation action: sum over slots of the single-factor action."""
     if e.params != psi.params:
         raise ValueError("algebra parameter mismatch between element and state")
+    index = _index_of(e)
     items = []
     for tup, w in psi:
-        for slot in range(len(tup)):
-            for g, coeff in e:
-                for out, mult in _act_gen_chain(g, tup[slot]):
+        for slot, c in enumerate(tup):
+            for g, coeff in _terms_on(index, c):
+                for out, mult in _act_gen_chain(g, c):
                     items.append(
                         (tup[:slot] + (out,) + tup[slot + 1 :], coeff * w * mult)
                     )

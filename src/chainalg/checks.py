@@ -82,6 +82,8 @@ def _param_cycle():
 def suite_jacobi(params=None, seed=0, cases=200, max_len=4, max_seq=2):
     """Antisymmetry and the Jacobi identity in canonical form, random triples."""
     del max_len
+    if cases < 1:
+        raise ValueError(f"--cases must be at least 1 for the jacobi suite, got {cases}")
     rng = random.Random(seed)
     param_list = (params,) if params else _param_cycle()
     failures = 0

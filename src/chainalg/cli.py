@@ -2,7 +2,7 @@
 
 Grammar (whitespace insignificant)::
 
-    expr     := ['-'] term (('+'|'-') term)*
+    expr     := '0' | ['-'] term (('+'|'-') term)*
     term     := [rational '*'] atom
     rational := integer ['/' positive-integer]
     atom     := 'f(' n ',' n ';' n ',' n ')[' seq '|' seq ']'
@@ -131,6 +131,8 @@ class _Parser:
         return kind == "sym" and val == sym
 
     def parse(self) -> Expression:
+        if [tok[:2] for tok in self.tokens] == [("int", "0"), ("end", "")]:
+            return Expression(self.params, [])  # the printed form of zero
         terms = []
         sign = 1
         if self._at_sym("-"):

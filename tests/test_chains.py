@@ -1,6 +1,7 @@
 """Defining representation, tensor powers, symmetrizers, action oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,8 +28,11 @@ from chainalg import (
 )
 from chainalg.basis import enumerate_generators, in_b4
 from chainalg.bracket import TriangularClass, classify, sigma_left_expansion, sigma_right_expansion
-from chainalg.chains import all_chains, young_scalar
+from chainalg.chains import _act_gen_chain, all_chains, young_scalar
 from chainalg.checks import random_element, random_generator
+
+P11 = AlgebraParams(1, 1)
+P12 = AlgebraParams(1, 2)
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
 
@@ -225,3 +229,150 @@ def test_concrete_lowest_weight_vector_diagonal_eigenvalues():
                     continue
                 out = act_tensor(element(params, g), vec)
                 assert out == vec.scaled(w.diagonal_eigenvalue(g))
+
+
+# ---------------------------------------------------------------------------
+# act and act_tensor try only the terms the element's index returns for a
+# chain; these tests compare them with the sum over every term
+
+
+def _act_every_term(e, psi):
+    return Combination.from_items(
+        psi.params,
+        (
+            (out, coeff * w * mult)
+            for c, w in psi
+            for g, coeff in e
+            for out, mult in _act_gen_chain(g, c)
+        ),
+    )
+
+
+def _act_tensor_every_term(e, psi):
+    return Combination.from_items(
+        psi.params,
+        (
+            (tup[:slot] + (out,) + tup[slot + 1 :], coeff * w * mult)
+            for tup, w in psi
+            for slot, c in enumerate(tup)
+            for g, coeff in e
+            for out, mult in _act_gen_chain(g, c)
+        ),
+    )
+
+
+def _edge_terms(params):
+    top = params.flavors
+    return [
+        gen_s((), ()),  # length counter
+        gen_s((1,), ()),  # inserters
+        gen_s((1, 1), ()),
+        gen_s((), (1,)),  # deleters
+        gen_s((), (1, 1)),
+        gen_s((1,), (1,)),  # three occurrences in the body 1,1,1
+        gen_s((params.colors,), (1, 1)),  # two overlapping ones
+        gen_l(1, top, (1,), (1,) * 5),  # lower word longer than every body
+        gen_r(top, 1, (), (1,) * 5),
+        gen_l(top, top, (), ()),
+        gen_r(1, top, (1,), ()),
+        gen_f(1, top, top, 1, (1,), (1,)),  # end flavors differ when lambda_f > 1
+        gen_f(top, 1, 1, top, (), ()),
+        gen_f(1, 1, 1, 1, (1,), (1, 1, 1)),
+    ]
+
+
+@pytest.mark.parametrize("params", [P11, P12, P21, P22], ids=lambda p: f"{p.colors},{p.flavors}")
+def test_indexed_action_matches_every_term(params):
+    rng = random.Random(31 + 10 * params.colors + params.flavors)
+    chains = list(all_chains(params, 4))
+    edges = _edge_terms(params)
+    everything = Combination.from_items(params, [(c, i + 1) for i, c in enumerate(chains)])
+    for _ in range(60):
+        extra = [(rng.randint(-3, 3) or 1, g) for g in rng.sample(edges, rng.randint(1, 5))]
+        e = random_element(rng, params, max_terms=4, max_seq=3) + element(params, *extra)
+        for c in chains:
+            psi = chain_state(params, c)
+            assert act(e, psi) == _act_every_term(e, psi)
+        assert act(e, everything) == _act_every_term(e, everything)
+        pairs = Combination.from_items(
+            params, [((rng.choice(chains), rng.choice(chains)), i + 1) for i in range(8)]
+        )
+        assert act_tensor(e, pairs) == _act_tensor_every_term(e, pairs)
+
+
+def test_dropping_an_expansion_term_is_seen():
+    for params in (P21, P22):
+        for g in (gen_s((1,), (2,)), gen_s((2, 1), (1,)), gen_s((1,), ()), gen_s((), (2,))):
+            sigma = element(params, g)
+            expansion = sigma_left_expansion(g, params)
+            assert equal_on_chains(sigma, expansion, 4)
+            for h, c in expansion:
+                assert not equal_on_chains(sigma, expansion - element(params, (c, h)), 4)
+
+
+def test_act_memo_is_keyed_by_identity():
+    chains = list(all_chains(P22, 3))
+    psi = Combination.from_items(P22, [(c, i + 1) for i, c in enumerate(chains)])
+    e1 = element(P22, gen_s((1,), (1,)), (2, gen_l(1, 2, (2,), (1,))))
+    e2 = element(P22, gen_s((2,), (1,)), (-1, gen_r(2, 1, (), (1,))))
+    outs = [act(e, psi) for e in (e1, e2, e1)]
+    assert outs == [_act_every_term(e, psi) for e in (e1, e2, e1)]
+    assert outs[0] != outs[1]
+    twin = Combination.from_items(P22, e1.items())
+    assert twin is not e1
+    assert act(twin, psi) == outs[0]
+    # only the memo refers to each element after use, which keeps the next
+    # one from reusing its address
+    rng = random.Random(32)
+    for _ in range(20):
+        seed = rng.random()
+        got = act(random_element(random.Random(seed), P22, max_terms=4), psi)
+        assert got == _act_every_term(random_element(random.Random(seed), P22, max_terms=4), psi)
+    with pytest.raises(ValueError):
+        act(e1, chain_state(P21, chain(1, (1,), 1)))
+    with pytest.raises(ValueError):
+        act_tensor(e1, tensor_state(P21, (chain(1, (1,), 1),)))
+
+
+def test_no_float_reaches_a_coefficient(monkeypatch):
+    # int / int is a float: every coefficient the oracles and inertia hand
+    # back must stay an exact int or Fraction
+    from chainalg import chains, checks, verma
+    from chainalg.verma import gram_matrix, inertia
+    from chainalg.weights import weight_from_partition
+
+    seen = {}
+
+    def recording(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            values = out.terms.values() if isinstance(out, Combination) else [out]
+            seen.setdefault(name, []).extend(values)
+            return out
+
+        return wrapped
+
+    for module, name in (
+        (chains, "act"),
+        (checks, "act"),
+        (checks, "act_tensor"),
+        (verma, "act_tensor"),
+        (checks, "hermitian_form"),
+    ):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    assert checks.suite_identities(P11, max_len=4)[0]
+    assert checks.suite_oracle(P11)[0]
+    assert verma.truncated_interior_norm_check((1,), (1,), 2, (1,), P11)
+    rng = random.Random(33)
+    for _ in range(10):
+        a, b = random_element(rng, P11), random_element(rng, P11)
+        assert checks.commutator_of_actions_ok(a, b, 3)
+    gm = gram_matrix(weight_from_partition((2,), P11), 3)
+    seen["gram"] = [v for row in gm.entries for v in row]
+    for m in (gm, [[0, 1, 0], [1, 0, 3], [0, 3, 0]], [[2, 1], [1, 2]], [[4, 2], [2, 1]]):
+        radical = [v for vec in inertia(m).radical for v in vec]
+        assert radical or m is not gm
+        seen.setdefault("radical", []).extend(radical)
+    assert sorted(seen) == ["act", "act_tensor", "gram", "hermitian_form", "radical"]
+    for name, values in seen.items():
+        assert values and {type(v) for v in values} <= {int, Fraction}, name

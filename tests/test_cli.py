@@ -281,6 +281,41 @@ def test_cli_rejects_negative_counts(argv, capsys):
     assert "must not be negative" in capsys.readouterr().err
 
 
+def test_cli_zero_round_trip(capsys):
+    # bracket, rewrite and act print a zero result as `0`; that text parses back
+    params = ["--lambda", "2", "--lambda-f", "2"]
+    assert main(["bracket", "s[1|1]", "s[1|1]"] + params) == 0
+    zero = capsys.readouterr().out.strip()
+    assert zero == "0"
+    assert parse(zero, P22).as_element().is_zero()
+    assert parse(zero, P22).as_chain_state().is_zero()
+    for argv in (
+        ["act", "s[1|1]", zero],
+        ["act", zero, "chain(1,2)[1,2]"],
+        ["bracket", zero, "s[1|2]"],
+        ["rewrite", "--basis", "b0", zero],
+        ["rewrite", "--basis", "b4", zero],
+    ):
+        assert main(argv + params) == 0
+        assert capsys.readouterr().out == "0\n"
+    # 0 is the whole expression, not a term
+    for text in ("0 + s[1|1]", "s[1|1] - 0", "-0"):
+        with pytest.raises(ExprSyntaxError):
+            parse(text, P22)
+
+
+def test_cli_jacobi_rejects_zero_cases(capsys):
+    argv = ["check", "--suite", "jacobi", "--cases", "0", "--lambda", "2", "--lambda-f", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chainalg: --cases must be at least 1 for the jacobi suite, got 0\n"
+    # the other suites ignore --cases, so 0 stays valid there
+    argv = ["check", "--suite", "identities", "--cases", "0", "--max-len", "1"]
+    assert main(argv + ["--lambda", "1", "--lambda-f", "1"]) == 0
+    assert capsys.readouterr().out == "identities (colors=1, flavors=1): 50/50 pass\n"
+
+
 def test_cli_unopenable_file_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "w.txt")
     assert main(["gram", "--weight", missing, "--max-size", "1"]) == 2
