@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    _ATOM_FORMS,
     KIND_F,
     KIND_L,
     KIND_R,
@@ -53,7 +54,7 @@ def chain(left: int, body, right: int) -> Chain:
 
 
 def render_chain(c: Chain) -> str:
-    return f"chain({c.left},{c.right})[{render_seq(c.body)}]"
+    return "chain" + _ATOM_FORMS["chain"].format(c.left, c.right, render_seq(c.body))
 
 
 ChainState = Combination  # keys: Chain

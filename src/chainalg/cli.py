@@ -5,12 +5,17 @@ Grammar (whitespace insignificant)::
     expr     := '0' | ['-'] term (('+'|'-') term)*
     term     := [rational '*'] atom
     rational := integer ['/' positive-integer]
-    atom     := 'f(' n ',' n ';' n ',' n ')[' seq '|' seq ']'
-              | 'l(' n ',' n ')[' seq '|' seq ']'
-              | 'r(' n ',' n ')[' seq '|' seq ']'
-              | 's[' seq '|' seq ']'
-              | 'chain(' n ',' n ')[' seq ']'
+    atom     := kind flavors '[' seq '|' seq ']' | 'chain' pair '[' seq ']'
+    kind     := 'f' | 'l' | 'r' | 's'
+    flavors  := '(' n ',' n ';' n ',' n ')' for f | pair for l, r | empty for s
+    pair     := '(' n ',' n ')'
     seq      := empty | integer (',' integer)*
+
+The parser reads each atom along its form in ``core._ATOM_FORMS``, which
+the renderers fill in; the forms are built from each kind's flavor count,
+``core._N_FLAVORS``.  Integers are ASCII digits; any character but ASCII
+letters, digits, whitespace and the grammar's symbols is a syntax error,
+and numbers in flags, ``--gamma`` and weight files are ASCII as well.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 """
@@ -18,6 +23,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -26,17 +32,15 @@ from .basis import to_b0, to_b4
 from .bracket import bracket, classify
 from .chains import Chain, chain_sort_key, act, render_chain
 from .core import (
+    _ATOM_FORMS,
     AlgebraParams,
     Combination,
     Element,
     Generator,
     IndexRangeError,
+    _read_number,
     check_indices,
-    gen_f,
     gen_key,
-    gen_l,
-    gen_r,
-    gen_s,
     render_element,
     render_frac,
     render_terms,
@@ -51,32 +55,19 @@ class ExprSyntaxError(ValueError):
         self.column = column
 
 
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[()\[\]|,;*/+-])|(?P<space>\s+)|(?P<bad>.)",
+    re.ASCII | re.DOTALL,
+)
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], col))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(("name", text[i:j], col))
-            i = j
-        elif ch in "()[]|,;*/+-":
-            tokens.append(("sym", ch, col))
-            i += 1
-        else:
-            raise ExprSyntaxError(col, f"unexpected character {ch!r}")
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(m.start() + 1, f"unexpected character {m.group()!r}")
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start() + 1))
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
@@ -124,7 +115,7 @@ class _Parser:
         if kind != "int":
             raise ExprSyntaxError(col, "expected an integer")
         self._advance()
-        return int(val)
+        return _read_number(val)
 
     def _at_sym(self, sym: str) -> bool:
         kind, val, _ = self._peek()
@@ -176,60 +167,34 @@ class _Parser:
             out.append(self._expect_int())
         return tuple(out)
 
-    def _flavor_pair(self):
-        self._expect_sym("(")
-        a = self._expect_int()
-        self._expect_sym(",")
-        b = self._expect_int()
-        return a, b
+    def _fields(self, form: str) -> list:
+        """Read an atom form: a {} before its '[' is a flavor index, after it a sequence."""
+        *pieces, closer = form.split("{}")
+        fields = []
+        for n, piece in enumerate(pieces):
+            for sym in piece:
+                self._expect_sym(sym)
+            fields.append(self._seq() if "[" in "".join(pieces[: n + 1]) else self._expect_int())
+        for sym in closer:
+            self._expect_sym(sym)
+        return fields
 
     def _atom(self):
         kind, val, col = self._peek()
         if kind != "name":
             raise ExprSyntaxError(col, "expected a generator or chain atom")
         self._advance()
-        if val == "f":
-            a, b = self._flavor_pair()
-            self._expect_sym(";")
-            c = self._expect_int()
-            self._expect_sym(",")
-            d = self._expect_int()
-            self._expect_sym(")")
-            up, lo = self._bracket_pair()
-            g = gen_f(a, b, c, d, up, lo)
-        elif val == "l":
-            a, b = self._flavor_pair()
-            self._expect_sym(")")
-            up, lo = self._bracket_pair()
-            g = gen_l(a, b, up, lo)
-        elif val == "r":
-            a, b = self._flavor_pair()
-            self._expect_sym(")")
-            up, lo = self._bracket_pair()
-            g = gen_r(a, b, up, lo)
-        elif val == "s":
-            up, lo = self._bracket_pair()
-            g = gen_s(up, lo)
-        elif val == "chain":
-            a, b = self._flavor_pair()
-            self._expect_sym(")")
-            self._expect_sym("[")
-            body = self._seq()
-            self._expect_sym("]")
-            check_indices(self.params, body, (a, b))
-            return Chain(a, body, b)
-        else:
+        if val not in _ATOM_FORMS:
             raise ExprSyntaxError(col, f"unknown atom {val!r}")
+        fields = self._fields(_ATOM_FORMS[val])
+        if val == "chain":
+            left, right, body = fields
+            check_indices(self.params, body, (left, right))
+            return Chain(left, body, right)
+        *flavors, upper, lower = fields
+        g = Generator(val, upper, lower, tuple(flavors))
         g.validate(self.params)
         return g
-
-    def _bracket_pair(self):
-        self._expect_sym("[")
-        up = self._seq()
-        self._expect_sym("|")
-        lo = self._seq()
-        self._expect_sym("]")
-        return up, lo
 
 
 def parse(text: str, params: AlgebraParams) -> Expression:
@@ -246,16 +211,19 @@ def render_chain_state(state: Combination) -> str:
 # subcommands
 
 def _parse_gamma(text: str) -> tuple:
-    if text.startswith("gamma="):
-        text = text[len("gamma="):]
-    text = text.strip()
-    if not text:
-        return ()
-    return check_partition(int(p) for p in text.split(","))
+    text = text.removeprefix("gamma=").strip()
+    return check_partition(_read_number(p) for p in text.split(",")) if text else ()
+
+
+def _int(text: str) -> int:
+    try:
+        return _read_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _non_negative_int(text: str) -> int:
-    n = int(text)
+    n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
     return n
@@ -269,9 +237,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_params(p):
-        p.add_argument("--lambda", dest="colors", type=int, help="number of adjoint colors")
+        p.add_argument("--lambda", dest="colors", type=_int, help="number of adjoint colors")
         p.add_argument(
-            "--lambda-f", dest="flavors", type=int, help="number of fundamental flavors"
+            "--lambda-f", dest="flavors", type=_int, help="number of fundamental flavors"
         )
 
     p = sub.add_parser("bracket", help="Lie bracket of two expressions, canonical form")
@@ -312,7 +280,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         choices=("jacobi", "identities", "independence", "oracle"),
         required=True,
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--cases", type=_non_negative_int, default=50)
     p.add_argument("--max-len", type=_non_negative_int, default=4)
     add_params(p)
@@ -396,14 +364,12 @@ def _dispatch(args) -> int:
             if (args.colors is not None and w.params.colors != args.colors) or (
                 args.flavors is not None and w.params.flavors != args.flavors
             ):
-                print("chainalg: weight file parameters disagree with flags", file=sys.stderr)
-                return 2
+                raise _UsageError("weight file parameters disagree with flags")
         elif args.gamma is not None:
             params = _require_params(args)
             w = weight_from_partition(_parse_gamma(args.gamma), params)
         else:
-            print("chainalg: gram needs --weight or --gamma", file=sys.stderr)
-            return 2
+            raise _UsageError("gram needs --weight or --gamma")
         gm = gram_matrix(w, args.max_size)
         print(f"size {len(gm.words)}")
         for i, word in enumerate(gm.words):

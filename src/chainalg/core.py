@@ -410,16 +410,30 @@ def render_frac(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+# The text after each atom's name: a flavor group with one comma pair per chain
+# end ((a,b;c,d), (a,b) or none), then the index sequences in brackets.  The
+# renderers fill these forms in and the CLI parser reads along them.
+_ATOM_FORMS = {
+    kind: ("(" + ";".join(["{},{}"] * (n // 2)) + ")" if n else "") + "[{}|{}]"
+    for kind, n in _N_FLAVORS.items()
+}
+_ATOM_FORMS["chain"] = _ATOM_FORMS[KIND_L].replace("|{}", "")  # (left,right)[body]
+
+
 def render_generator(g: Generator) -> str:
-    body = f"[{render_seq(g.upper)}|{render_seq(g.lower)}]"
-    if g.kind == KIND_F:
-        l1, l2, l3, l4 = g.flavors
-        return f"f({l1},{l2};{l3},{l4}){body}"
-    if g.kind == KIND_L:
-        return f"l({g.flavors[0]},{g.flavors[1]}){body}"
-    if g.kind == KIND_R:
-        return f"r({g.flavors[0]},{g.flavors[1]}){body}"
-    return f"s{body}"
+    form = _ATOM_FORMS[g.kind]
+    return g.kind + form.format(*g.flavors, render_seq(g.upper), render_seq(g.lower))
+
+
+def _read_number(text: str, kind=int):
+    """kind(text) for kind int or Fraction, from ASCII text without '_' separators;
+    a zero denominator is a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    try:
+        return kind(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def render_terms(pairs: list) -> str:

@@ -31,6 +31,7 @@ from .core import (
     AlgebraParams,
     Generator,
     _as_fraction,
+    _read_number,
     all_seqs,
     check_indices,
     gen_l,
@@ -299,85 +300,71 @@ def split_weight(w: Weight) -> tuple:
 # ---------------------------------------------------------------------------
 # weight files
 
-def _render_seq(seq) -> str:
-    return f"[{render_seq(seq)}]"
-
-
 def _parse_seq(text: str) -> tuple:
-    text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"malformed sequence {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(int(p) for p in inner.split(","))
+    inner = text[1:-1]
+    return tuple(_read_number(p) for p in inner.split(",")) if inner else ()
+
+
+_INT = (_read_number, str)
+_SEQ = (_parse_seq, lambda seq: f"[{render_seq(seq)}]")
+_VALUE = (lambda text: _read_number(text, Fraction), render_frac)
+_WORD = (str, str)
+
+# One row per line tag, in the order the tags are written: the reader and
+# renderer of each field after the tag (the last field is the value, the ones
+# before it make the key of the tag's table), and the order of a table's keys
+# (for I, the argument enumeration of arg_at).  The header tags come first.
+_HEADER = ("lambda", "lambda_f", "alpha", "mode")
+_LINES = {
+    "lambda": ((_INT,), None),
+    "lambda_f": ((_INT,), None),
+    "alpha": ((_VALUE,), None),
+    "mode": ((_WORD,), None),
+    "I": ((_INT, _SEQ, _INT, _VALUE), lambda a: (len(a[1]), a[1], a[0], a[2])),
+    "II": ((_INT, _SEQ, _VALUE), lambda a: (a[0], len(a[1]), a[1])),
+    "III": ((_SEQ, _INT, _VALUE), lambda a: (a[1], len(a[0]), a[0])),
+    "IV": ((_SEQ, _VALUE), lambda s: (len(s), s)),
+}
 
 
 def write_weight(w: Weight) -> str:
-    lines = [
-        f"lambda {w.params.colors}",
-        f"lambda_f {w.params.flavors}",
-        f"alpha {render_frac(w.alpha)}",
-        f"mode {w.mode}",
-    ]
-    for (l1, seq, l2) in sorted(w.hI_table, key=lambda a: arg_index(a, w.params)):
-        lines.append(f"I {l1} {_render_seq(seq)} {l2} {render_frac(w.hI_table[(l1, seq, l2)])}")
-    for (l, seq) in sorted(w.hII_table, key=lambda a: (a[0], len(a[1]), a[1])):
-        lines.append(f"II {l} {_render_seq(seq)} {render_frac(w.hII_table[(l, seq)])}")
-    for (seq, l) in sorted(w.hIII_table, key=lambda a: (a[1], len(a[0]), a[0])):
-        lines.append(f"III {_render_seq(seq)} {l} {render_frac(w.hIII_table[(seq, l)])}")
-    for seq in sorted(w.hIV_table, key=lambda s: (len(s), s)):
-        lines.append(f"IV {_render_seq(seq)} {render_frac(w.hIV_table[seq])}")
+    header = (w.params.colors, w.params.flavors, w.alpha, w.mode)
+    tables = {tag: {(): v} for tag, v in zip(_HEADER, header)}
+    tables.update(I=w.hI_table, II=w.hII_table, III=w.hIII_table, IV=w.hIV_table)
+    lines = []
+    for tag, (fields, order) in _LINES.items():
+        for key in sorted(tables[tag], key=order):
+            values = ((key,) if len(fields) == 2 else key) + (tables[tag][key],)
+            lines.append(" ".join([tag] + [out(v) for (_read, out), v in zip(fields, values)]))
     return "\n".join(lines) + "\n"
 
 
 def read_weight(text: str) -> Weight:
     """Parse a weight file; a line key given twice is an error."""
-    header: dict = {}
-    tI: dict = {}
-    tII: dict = {}
-    tIII: dict = {}
-    tIV: dict = {}
+    tables: dict = {tag: {} for tag in _LINES}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        tag = parts[0]
+        tag = "lambda_f" if parts[0] == "lambda-f" else parts[0]
+        fields, _order = _LINES.get(tag, (None, None))
         try:
-            if tag in ("lambda", "lambda-f", "lambda_f"):
-                table, key, value = header, tag.replace("-", "_"), int(parts[1])
-            elif tag == "alpha":
-                table, key, value = header, tag, Fraction(parts[1])
-            elif tag == "mode":
-                table, key, value = header, tag, parts[1]
-            elif tag == "I":
-                key = (int(parts[1]), _parse_seq(parts[2]), int(parts[3]))
-                table, value = tI, Fraction(parts[4])
-            elif tag == "II":
-                table, key, value = tII, (int(parts[1]), _parse_seq(parts[2])), Fraction(parts[3])
-            elif tag == "III":
-                table, key, value = tIII, (_parse_seq(parts[1]), int(parts[2])), Fraction(parts[3])
-            elif tag == "IV":
-                table, key, value = tIV, _parse_seq(parts[1]), Fraction(parts[2])
-            else:
-                raise ValueError(f"unknown weight-file line {raw!r}")
-        except (IndexError, ValueError) as exc:
+            if fields is None or len(parts) != 1 + len(fields):
+                raise ValueError("unknown tag or wrong field count")
+            values = tuple(read(p) for (read, _out), p in zip(fields, parts[1:]))
+        except ValueError as exc:
             raise ValueError(f"malformed weight-file line {raw!r}") from exc
-        if key in table:
+        key = values[0] if len(values) == 2 else values[:-1]
+        if key in tables[tag]:
             raise ValueError(f"duplicate weight-file line {raw!r}")
-        table[key] = value
-    if "lambda" not in header or "lambda_f" not in header:
+        tables[tag][key] = values[-1]
+    colors, flavors, alpha, mode = (tables[tag].get(()) for tag in _HEADER)
+    if colors is None or flavors is None:
         raise ValueError("weight file must set lambda and lambda-f")
-    mode = header.get("mode", "af")
-    if mode == "af" and header.get("alpha", 0):
+    mode = mode or "af"
+    if mode == "af" and alpha:
         raise ValueError("an af-mode weight file needs alpha 0: its derived sums diverge")
-    return Weight(
-        AlgebraParams(header["lambda"], header["lambda_f"]),
-        alpha=header.get("alpha", 0),
-        hI_table=tI,
-        mode=mode,
-        hII_table=tII or None,
-        hIII_table=tIII or None,
-        hIV_table=tIV or None,
-    )
+    params = AlgebraParams(colors, flavors)
+    return Weight(params, alpha or 0, tables["I"], mode, tables["II"], tables["III"], tables["IV"])

@@ -4,16 +4,26 @@ import hashlib
 import os
 import pathlib
 import random
+import string
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from chainalg import AlgebraParams, IndexRangeError, element, gen_f, gen_l, gen_s, in_b4
+from chainalg import (
+    AlgebraParams,
+    IndexRangeError,
+    chain,
+    element,
+    gen_f,
+    gen_l,
+    gen_s,
+    in_b4,
+)
 from chainalg.checks import random_element
 from chainalg.cli import ExprSyntaxError, main, parse, render_chain_state
-from chainalg.core import render_element
+from chainalg.core import Combination, render_element
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -90,6 +100,57 @@ def test_render_parse_normalizes_corpus():
     for text in corpus:
         e = parse(text, P22).as_element()
         assert parse(render_element(e), P22).as_element() == e
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _expression_corpus():
+    """Rendered elements and chain states, each followed by one-character mutations."""
+    rng = random.Random(20261020)
+    # printable ASCII, grammar symbols and digits drawn more often
+    alphabet = string.printable + "()[]|,;*/+-0123456789" * 2 + "fslrchain"
+    corpus = []
+    for n in range(400):
+        if n % 2:
+            base = render_element(random_element(rng, P22, max_terms=3, max_seq=3))
+        else:
+            items = []
+            for _ in range(rng.randint(1, 3)):
+                left = rng.randint(1, 2)
+                body = [rng.randint(1, 2) for _ in range(rng.randint(0, 3))]
+                c = chain(left, body, rng.randint(1, 2))
+                items.append((c, Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))))
+            base = render_chain_state(Combination.from_items(P22, items))
+        corpus.append(base)
+        for _ in range(5):
+            i = rng.randrange(len(base) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                corpus.append(base[:i] + rng.choice(alphabet) + base[i:])
+            elif op == 1 and i < len(base):
+                corpus.append(base[:i] + base[i + 1:])
+            else:
+                corpus.append(base[:i] + rng.choice(alphabet) + base[i + 1:])
+    return corpus
+
+
+def test_expression_boundary_golden():
+    # SHA-256 of each string's outcome as an element and as a chain state,
+    # recorded before the atom grammar was read from the kind table
+    corpus = _expression_corpus()
+    assert len(corpus) == 2400 and all(text.isascii() for text in corpus)
+    lines = []
+    for text in corpus:
+        as_element = _outcome(lambda: render_element(parse(text, P22).as_element()))
+        as_state = _outcome(lambda: render_chain_state(parse(text, P22).as_chain_state()))
+        lines.append(f"{text!r} {as_element} {as_state}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3191212dc72bc34ee549f6701632517bf17e2940953c667624a76d524650d402"
 
 
 def test_cli_bracket_golden(capsys):
@@ -384,6 +445,79 @@ def test_cli_rewrites_long_one_blocks():
         params = AlgebraParams(2, flavors)
         out = parse(proc.stdout.strip(), params).as_element()
         assert out.keys() and all(in_b4(g) for g in out.keys())
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("lambda 1\nlambda_f 1\nmode free\nalpha 1/0\n", "alpha 1/0"),
+        ("lambda 1\nlambda_f 1\nI 1 [] 1 1/0\n", "I 1 [] 1 1/0"),
+        ("lambda 1 7\nlambda_f 1\n", "lambda 1 7"),
+        ("lambda 1\nlambda_f 1\nI 1 [] 1 2 junk  # comment\n", "I 1 [] 1 2 junk  # comment"),
+        ("lambda 1_0\nlambda_f 1\n", "lambda 1_0"),
+        ("lambda 1\nlambda-f \u0662\n", "lambda-f \u0662"),
+        ("lambda 1\nlambda_f 1\nI 1 [\u00b9] 1 2\n", "I 1 [\u00b9] 1 2"),
+    ],
+    ids=[
+        "alpha-zero-den", "I-zero-den", "lambda-extra", "I-extra", "underscore", "arabic",
+        "superscript",
+    ],
+)
+def test_cli_gram_rejects_malformed_weight_lines(tmp_path, capsys, text, bad):
+    # zero denominators, extra fields and digits other than ASCII are refused
+    # where the line is read
+    path = tmp_path / "w.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["gram", "--weight", str(path), "--max-size", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chainalg: malformed weight-file line {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["act", "s[\u0663|1]", "chain(1,1)[1]"],
+         "syntax error at column 3: unexpected character '\u0663'"),
+        (["classify", "s[\u00b2|1]"], "syntax error at column 3: unexpected character '\u00b2'"),
+        (["classify", "s[1|1] + s\u00e9[1|1]"],
+         "syntax error at column 11: unexpected character '\u00e9'"),
+        (["classify", "s[1_0|1]"], "syntax error at column 4: unexpected character '_'"),
+        (["weight", "--gamma", "\u0662"], "not an ASCII number: '\u0662'"),
+        (["weight", "--gamma", "1_0"], "not an ASCII number: '1_0'"),
+        (["gram", "--gamma", "2,\u0661", "--max-size", "1"], "not an ASCII number: '\u0661'"),
+    ],
+    ids=[
+        "arabic-digit", "superscript", "letter", "underscore", "gamma-arabic", "gamma-underscore",
+        "gram-gamma",
+    ],
+)
+def test_cli_reads_ascii_digits_only(argv, err, capsys):
+    assert main(argv + ["--lambda", "3", "--lambda-f", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chainalg: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "s[1|1]", "--lambda", "\u0663", "--lambda-f", "1"],
+        ["classify", "s[1|1]", "--lambda", "2", "--lambda-f", "1_0"],
+        ["check", "--suite", "jacobi", "--seed", "\u0661", "--lambda", "1", "--lambda-f", "1"],
+        ["check", "--suite", "jacobi", "--cases", "1_0", "--lambda", "1", "--lambda-f", "1"],
+        ["check", "--suite", "identities", "--max-len", "\u00b2",
+         "--lambda", "1", "--lambda-f", "1"],
+        ["gram", "--gamma", "1", "--max-size", "\u0661", "--lambda", "1", "--lambda-f", "1"],
+    ],
+    ids=["lambda", "lambda-f", "seed", "cases", "max-len", "max-size"],
+)
+def test_cli_integer_flags_read_ascii_digits_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    value = next(a for a in argv if not a.isascii() or "_" in a)
+    assert capsys.readouterr().err.endswith(f"invalid int value: {value!r}\n")
 
 
 def test_cli_check_deterministic_given_seed(capsys):

@@ -372,3 +372,49 @@ def test_af_mode_values_golden():
     assert len(lines) == 1440
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "ad6cf71e6b473bcaeb28ed9962132e362024da6ae721ed1067638dd9eca52e2d"
+
+
+def _weight_file_corpus():
+    """Written af, free and partition weights, each followed by line and field mutations."""
+    rng = random.Random(20261021)
+    corpus = []
+    for n in range(100):
+        params = FREE_GOLDEN_PARAMS[n % 4]
+        if n % 5 == 4:
+            w = weight_from_partition((rng.randint(1, 3), 1), params)
+        elif n % 2:
+            w = _random_free_weight(rng, params)
+        else:
+            w = _random_af_weight(rng, params)
+        base = write_weight(w).splitlines()
+        corpus.append("\n".join(base) + "\n")
+        for op in range(5):
+            lines = list(base)
+            i = rng.randrange(len(lines))
+            if op % 3 == 0:
+                del lines[i]
+            elif op % 3 == 1:
+                lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            else:
+                fields = lines[i].split()
+                a, b = rng.sample(range(len(fields)), 2)
+                fields[a], fields[b] = fields[b], fields[a]
+                lines[i] = " ".join(fields)
+            corpus.append("\n".join(lines) + "\n")
+    return corpus
+
+
+def test_weight_file_boundary_golden():
+    # SHA-256 of what each file reads back as, rewritten, or its error; recorded
+    # before the reader and writer walked one table of line tags
+    corpus = _weight_file_corpus()
+    assert len(corpus) == 600
+    lines = []
+    for text in corpus:
+        try:
+            outcome = write_weight(read_weight(text))
+        except ValueError as err:
+            outcome = f"{type(err).__name__}: {err}"
+        lines.append(f"{text!r} {outcome!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c4bfb053565922a8f8ac73d17493b19360fc506cb592a2a853596bd121d86509"
