@@ -18,6 +18,10 @@ anti-automorphism, [omega b, omega a] = omega [a, b], so each row writes
 only the half where a's lower data meets b's upper data; the other half
 is the omega image of that half, with the sign flipped.
 
+Rows are computed on field tuples (kind, upper, lower, flavors) with integer
+multiplicities, omega and mirror acting through core.omega_fields/mirror_fields;
+each term that survives cancellation is built once, as one Generator.
+
 Grade-zero generators split into raising, diagonal and lowering by
 comparing the upper index word (sequence followed by its flavor indices)
 against the lower one; together with the sign of the grade this yields
@@ -46,9 +50,9 @@ from .core import (
     gen_s,
     grade,
     mirror,
+    mirror_fields,
     mirror_gen,
-    omega_flavors,
-    omega_gen,
+    omega_fields,
 )
 
 
@@ -90,116 +94,114 @@ def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# generator-pair brackets; each half takes the fields (fa, I, J, fb, K, L) of
-# a = (flavors fa, upper I, lower J) and b = (fb, K, L) and yields the
-# generators, each with coefficient +1, where a's lower data meets b's upper data
+# generator-pair brackets; each half takes the fields (I, J, fa, K, L, fb) of
+# a = (kind, I, J, fa) and b = (kind, K, L, fb) and yields the field tuples,
+# each with multiplicity +1, where a's lower data meets b's upper data
 
-def _ff(fa, I, J, fb, K, L):
+def _ff(I, J, fa, K, L, fb):
     a1, a2, a3, a4 = fa
     b1, b2, b3, b4 = fb
     if b1 == a2 and K == J and b3 == a4:
-        yield gen_f(a1, b2, a3, b4, I, L)
+        yield KIND_F, I, L, (a1, b2, a3, b4)
 
 
-def _fl(fa, I, J, fb, K, L):
+def _fl(I, J, fa, K, L, fb):
     a1, a2, a3, a4 = fa
     b1, b2 = fb
     if b1 == a2:
         for j1, j2 in _splits2(J):
             if j1 == K:
-                yield gen_f(a1, b2, a3, a4, I, L + j2)
+                yield KIND_F, I, L + j2, (a1, b2, a3, a4)
 
 
-def _fs(fa, I, J, fb, K, L):
+def _fs(I, J, fa, K, L, fb):
     for j1, j2, j3 in _splits3(J, ne=(False, True, False)):
         if j2 == K:
-            yield gen_f(*fa, I, j1 + L + j3)
+            yield KIND_F, I, j1 + L + j3, fa
 
 
-def _ll(fa, I, J, fb, K, L):
+def _ll(I, J, fa, K, L, fb):
     a1, a2 = fa
     b1, b2 = fb
     if b1 != a2:
         return
     if K == J:
-        yield gen_l(a1, b2, I, L)
+        yield KIND_L, I, L, (a1, b2)
     for j1, j2 in _splits2(J, ne2=True):
         if j1 == K:
-            yield gen_l(a1, b2, I, L + j2)
+            yield KIND_L, I, L + j2, (a1, b2)
     for k1, k2 in _splits2(K, ne2=True):
         if k1 == J:
-            yield gen_l(a1, b2, I + k2, L)
+            yield KIND_L, I + k2, L, (a1, b2)
 
 
-def _lr(fa, I, J, fb, K, L):
+def _lr(I, J, fa, K, L, fb):
     for j1, j2 in _splits2(J):
         for k1, k2 in _splits2(K):
             if k1 == j2:
-                yield gen_f(*fa, *fb, I + k2, j1 + L)
+                yield KIND_F, I + k2, j1 + L, fa + fb
 
 
-def _ls(fa, I, J, fb, K, L):
-    a1, a2 = fa
+def _ls(I, J, fa, K, L, fb):
     if J == K:
-        yield gen_l(a1, a2, I, L)
+        yield KIND_L, I, L, fa
     for k1, k2 in _splits2(K, ne1=True, ne2=True):
         if k1 == J:
-            yield gen_l(a1, a2, I + k2, L)
+            yield KIND_L, I + k2, L, fa
     for j1, j2 in _splits2(J, ne1=True, ne2=True):
         if j2 == K:
-            yield gen_l(a1, a2, I, j1 + L)
+            yield KIND_L, I, j1 + L, fa
         if j1 == K:
-            yield gen_l(a1, a2, I, L + j2)
+            yield KIND_L, I, L + j2, fa
     for j1, j2 in _splits2(J, ne1=True, ne2=True):
         for k1, k2 in _splits2(K, ne1=True, ne2=True):
             if k1 == j2:
-                yield gen_l(a1, a2, I + k2, j1 + L)
+                yield KIND_L, I + k2, j1 + L, fa
     for j1, j2, j3 in _splits3(J):
         if j2 == K:
-            yield gen_l(a1, a2, I, j1 + L + j3)
+            yield KIND_L, I, j1 + L + j3, fa
 
 
-def _ss(fa, I, J, fb, K, L):
+def _ss(I, J, fa, K, L, fb):
     if K == J:
-        yield gen_s(I, L)
+        yield KIND_S, I, L, ()
     for j1, j2 in _splits2(J, ne1=True, ne2=True):
         if K == j2:
-            yield gen_s(I, j1 + L)
+            yield KIND_S, I, j1 + L, ()
         if K == j1:
-            yield gen_s(I, L + j2)
+            yield KIND_S, I, L + j2, ()
     for k1, k2 in _splits2(K, ne1=True, ne2=True):
         if k1 == J:
-            yield gen_s(I + k2, L)
+            yield KIND_S, I + k2, L, ()
         if k2 == J:
-            yield gen_s(k1 + I, L)
+            yield KIND_S, k1 + I, L, ()
     for j1, j2 in _splits2(J, ne1=True, ne2=True):
         for k1, k2 in _splits2(K, ne1=True, ne2=True):
             if k1 == j2:
-                yield gen_s(I + k2, j1 + L)
+                yield KIND_S, I + k2, j1 + L, ()
             if k2 == j1:
-                yield gen_s(k1 + I, L + j2)
+                yield KIND_S, k1 + I, L + j2, ()
     for j1, j2, j3 in _splits3(J):
         if K == j2:
-            yield gen_s(I, j1 + L + j3)
+            yield KIND_S, I, j1 + L + j3, ()
     for k1, k2, k3 in _splits3(K):
         if k2 == J:
-            yield gen_s(k1 + I + k3, L)
+            yield KIND_S, k1 + I + k3, L, ()
 
 
 def _commutator(half):
-    """The row [a, b] = half(a, b) - omega half(omega a, omega b).
+    """The row [a, b] = half(a, b) - omega half(omega a, omega b), on field tuples.
 
     omega is an anti-automorphism, so the terms where b's lower data meets
     a's upper data are the omega image of the half for the omega-fields:
     both sequences swapped, each flavor pair transposed.
     """
 
-    def row(a: Generator, b: Generator):
-        for g in half(a.flavors, a.upper, a.lower, b.flavors, b.upper, b.lower):
-            yield g, 1
-        wa, wb = omega_flavors(a.flavors), omega_flavors(b.flavors)
-        for g in half(wa, a.lower, a.upper, wb, b.lower, b.upper):
-            yield omega_gen(g), -1
+    def row(a: tuple, b: tuple):
+        for t in half(*a[1:], *b[1:]):
+            yield t, 1
+        for t in half(*omega_fields(*a)[1:], *omega_fields(*b)[1:]):
+            yield omega_fields(*t), -1
 
     return row
 
@@ -207,9 +209,9 @@ def _commutator(half):
 def _mirrored(row):
     """The row of the mirror-image kinds: [a, b] = mirror [mirror a, mirror b]."""
 
-    def mirrored_row(a: Generator, b: Generator):
-        for g, c in row(mirror_gen(a), mirror_gen(b)):
-            yield mirror_gen(g), c
+    def mirrored_row(a: tuple, b: tuple):
+        for t, c in row(mirror_fields(*a), mirror_fields(*b)):
+            yield mirror_fields(*t), c
 
     return mirrored_row
 
@@ -239,7 +241,11 @@ def bracket_gen(a: Generator, b: Generator, params: AlgebraParams) -> Element:
                                 sigma_left_expansion(b, params), params)
     fn = _TABLE.get((a.kind, b.kind))
     if fn is not None:
-        return Combination.from_items(params, fn(a, b))
+        acc = {}
+        ta, tb = (a.kind, a.upper, a.lower, a.flavors), (b.kind, b.upper, b.lower, b.flavors)
+        for t, c in fn(ta, tb):
+            acc[t] = acc.get(t, 0) + c
+        return Combination(params, {Generator(*t): c for t, c in acc.items() if c})
     # lower-priority kind first: antisymmetry
     return -bracket_gen(b, a, params)
 

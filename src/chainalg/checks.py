@@ -92,11 +92,12 @@ def suite_jacobi(params=None, seed=0, cases=200, max_len=4, max_seq=2):
         a = Combination.term(p, random_generator(rng, p, max_seq))
         b = Combination.term(p, random_generator(rng, p, max_seq))
         c = Combination.term(p, random_generator(rng, p, max_seq))
-        if not to_b0(bracket(a, b) + bracket(b, a), p).is_zero():
+        ab = bracket(a, b)
+        if not to_b0(ab + bracket(b, a), p).is_zero():
             failures += 1
             continue
         jac = (
-            bracket(bracket(a, b), c)
+            bracket(ab, c)
             + bracket(bracket(b, c), a)
             + bracket(bracket(c, a), b)
         )

@@ -115,7 +115,10 @@ class _Parser:
         if kind != "int":
             raise ExprSyntaxError(col, "expected an integer")
         self._advance()
-        return _read_number(val)
+        try:
+            return _read_number(val)
+        except ValueError:  # only Python's digit limit rejects an ASCII digit run
+            raise ExprSyntaxError(col, f"integer of {len(val)} digits is too long") from None
 
     def _at_sym(self, sym: str) -> bool:
         kind, val, _ = self._peek()

@@ -363,14 +363,14 @@ def element(params: AlgebraParams, *scaled_gens) -> Element:
 # ---------------------------------------------------------------------------
 # involutions
 
-def omega_flavors(flavors: tuple) -> tuple:
-    """Each flavor pair transposed: (a, b, c, d) -> (b, a, d, c)."""
-    return flavors[1::-1] + flavors[3:1:-1]
+def omega_fields(kind, upper, lower, flavors) -> tuple:
+    """omega on generator fields; flavor pairs transposed: (a, b, c, d) -> (b, a, d, c)."""
+    return kind, lower, upper, flavors[1::-1] + flavors[3:1:-1]
 
 
 def omega_gen(g: Generator) -> Generator:
     """Swap upper and lower data: sequences exchanged, flavor pairs transposed."""
-    return Generator(g.kind, g.lower, g.upper, omega_flavors(g.flavors))
+    return Generator(*omega_fields(g.kind, g.upper, g.lower, g.flavors))
 
 
 def omega(e: Element) -> Element:
@@ -381,6 +381,11 @@ def omega(e: Element) -> Element:
 _MIRROR_KIND = {KIND_F: KIND_F, KIND_L: KIND_R, KIND_R: KIND_L, KIND_S: KIND_S}
 
 
+def mirror_fields(kind, upper, lower, flavors) -> tuple:
+    """mirror_gen on the fields of a generator."""
+    return _MIRROR_KIND[kind], upper[::-1], lower[::-1], flavors[2:] + flavors[:2]
+
+
 def mirror_gen(g: Generator) -> Generator:
     """Image under chain reversal chain(a,b)[K] -> chain(b,a)[reversed K].
 
@@ -389,9 +394,7 @@ def mirror_gen(g: Generator) -> Generator:
     reversal makes this an automorphism of the algebra:
     [mirror a, mirror b] = mirror [a, b].
     """
-    return Generator(
-        _MIRROR_KIND[g.kind], g.upper[::-1], g.lower[::-1], g.flavors[2:] + g.flavors[:2]
-    )
+    return Generator(*mirror_fields(g.kind, g.upper, g.lower, g.flavors))
 
 
 def mirror(e: Element) -> Element:
@@ -426,10 +429,12 @@ def render_generator(g: Generator) -> str:
 
 
 def _read_number(text: str, kind=int):
-    """kind(text) for kind int or Fraction, from ASCII text without '_' separators;
-    a zero denominator is a ValueError."""
+    """kind(text) for kind int or Fraction, from ASCII text without '_' separators
+    or exponent notation (1e9 builds 10**9); a zero denominator is a ValueError."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
     try:
         return kind(text)
     except ZeroDivisionError:

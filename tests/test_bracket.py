@@ -28,10 +28,28 @@ from chainalg.basis import (
     to_b4,
     to_b4_gen,
 )
-from chainalg.bracket import bracket_gen, index_words, is_extended_sigma
+from chainalg.bracket import (
+    _TABLE,
+    _ff,
+    _fl,
+    _fs,
+    _ll,
+    _lr,
+    _ls,
+    _ss,
+    bracket_gen,
+    index_words,
+    is_extended_sigma,
+    sigma_left_expansion,
+)
 from chainalg.chains import Chain, act, all_chains, chain_state, equal_on_chains
 from chainalg.core import (
+    KIND_F,
+    KIND_L,
+    KIND_R,
+    KIND_S,
     Combination,
+    Generator,
     charge,
     mirror,
     mirror_gen,
@@ -39,7 +57,12 @@ from chainalg.core import (
     omega_gen,
     render_element,
 )
-from chainalg.checks import commutator_of_actions_ok, random_element, random_generator
+from chainalg.checks import (
+    commutator_of_actions_ok,
+    random_element,
+    random_generator,
+    suite_jacobi,
+)
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -301,3 +324,88 @@ def test_bracket_table_golden():
     assert len(lines) == 61349
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b2df100fab49f675f7fbd671496e91b7f6aa44b44acf4949eb1b098b740fbf57"
+
+
+# The slow path that the field-tuple rows replace: every term of a half is
+# wrapped in a Generator, omega_gen and mirror_gen act on whole generators,
+# and the +1/-1 terms are summed by Combination.from_items.
+_REFERENCE_ROWS = {  # (a.kind, b.kind): (half, row derived through mirror_gen)
+    (KIND_F, KIND_F): (_ff, False),
+    (KIND_F, KIND_L): (_fl, False),
+    (KIND_F, KIND_R): (_fl, True),
+    (KIND_F, KIND_S): (_fs, False),
+    (KIND_L, KIND_L): (_ll, False),
+    (KIND_L, KIND_R): (_lr, False),
+    (KIND_L, KIND_S): (_ls, False),
+    (KIND_R, KIND_R): (_ll, True),
+    (KIND_R, KIND_S): (_ls, True),
+    (KIND_S, KIND_S): (_ss, False),
+}
+
+
+def _half_terms(half, a, b):
+    return [Generator(*t) for t in half(a.upper, a.lower, a.flavors, b.upper, b.lower, b.flavors)]
+
+
+def _reference_row(half, a, b, params):
+    items = [(g, 1) for g in _half_terms(half, a, b)]
+    items += [(omega_gen(g), -1) for g in _half_terms(half, omega_gen(a), omega_gen(b))]
+    return Combination.from_items(params, items)
+
+
+def _reference_bracket_gen(a, b, params):
+    if is_extended_sigma(a):
+        return _reference_bracket(sigma_left_expansion(a, params), element(params, b), params)
+    if is_extended_sigma(b):
+        return _reference_bracket(element(params, a), sigma_left_expansion(b, params), params)
+    if (a.kind, b.kind) not in _REFERENCE_ROWS:
+        return -_reference_bracket_gen(b, a, params)
+    half, mirrored = _REFERENCE_ROWS[a.kind, b.kind]
+    if mirrored:
+        return mirror(_reference_row(half, mirror_gen(a), mirror_gen(b), params))
+    return _reference_row(half, a, b, params)
+
+
+def _reference_bracket(ea, eb, params):
+    return Combination.from_items(params, (
+        t for x, c1 in ea for y, c2 in eb
+        for t in _reference_bracket_gen(x, y, params).scaled(c1 * c2)
+    ))
+
+
+@pytest.mark.parametrize(
+    "params", [AlgebraParams(3, 2), AlgebraParams(2, 3)], ids=["3-colors", "3-flavors"]
+)
+def test_field_tuple_rows_match_the_generator_reference(params):
+    # beyond the golden's range: three colors or three flavors, sequences up
+    # to length 3, extended interior operators included
+    rng = random.Random(params.colors * 10 + params.flavors)
+    extended = nonzero = 0
+    bracket_gen.cache_clear()
+    try:
+        for _ in range(3000):
+            a = random_generator(rng, params, max_seq=3)
+            b = random_generator(rng, params, max_seq=3)
+            got = bracket_gen(a, b, params)
+            assert got == _reference_bracket_gen(a, b, params), (a, b)
+            extended += is_extended_sigma(a) or is_extended_sigma(b)
+            nonzero += bool(got)
+    finally:
+        bracket_gen.cache_clear()
+    assert extended > 50 and nonzero > 500
+
+
+def test_jacobi_suite_detects_a_broken_row(monkeypatch):
+    # the suite computes bracket(a, b) once for both antisymmetry and the Jacobi
+    # sum; the (l, s) row without its omega half must still make it fail
+    bracket_gen.cache_clear()
+    assert suite_jacobi(P22, seed=101, cases=200)[0]
+    assert suite_jacobi(P22, seed=202, cases=200)[0]
+    half_only = lambda a, b: ((t, 1) for t in _ls(*a[1:], *b[1:]))  # noqa: E731
+    monkeypatch.setitem(_TABLE, (KIND_L, KIND_S), half_only)
+    bracket_gen.cache_clear()
+    try:
+        ok, lines = suite_jacobi(P22, seed=101, cases=200)
+    finally:
+        bracket_gen.cache_clear()
+    assert not ok, lines

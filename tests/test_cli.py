@@ -315,6 +315,15 @@ def test_cli_parse_error_exit_code(capsys):
     assert "column 6" in err
 
 
+def test_cli_overlong_integer_is_a_column_syntax_error(capsys):
+    # Python refuses int() of more than 4,300 digits; the parser names the column
+    digits = "1" * 5000
+    code = main(["classify", f"s[1|1] + {digits}*s[1|1]", "--lambda", "2", "--lambda-f", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "chainalg: syntax error at column 10: integer of 5000 digits is too long\n"
+
+
 def test_cli_missing_params_exit_code(capsys):
     code = main(["classify", "s[1|2]"])
     assert code == 2
@@ -457,14 +466,18 @@ def test_cli_rewrites_long_one_blocks():
         ("lambda 1_0\nlambda_f 1\n", "lambda 1_0"),
         ("lambda 1\nlambda-f \u0662\n", "lambda-f \u0662"),
         ("lambda 1\nlambda_f 1\nI 1 [\u00b9] 1 2\n", "I 1 [\u00b9] 1 2"),
+        ("lambda 1\nlambda_f 1\nmode free\nalpha 2E3\n", "alpha 2E3"),
+        ("lambda 1\nlambda_f 1\nI 1 [1] 1 1e1\n", "I 1 [1] 1 1e1"),
+        ("lambda 1\nlambda_f 1\nI 1 [1] 1 0.5e-1\n", "I 1 [1] 1 0.5e-1"),
     ],
     ids=[
         "alpha-zero-den", "I-zero-den", "lambda-extra", "I-extra", "underscore", "arabic",
-        "superscript",
+        "superscript", "alpha-exponent", "I-exponent", "I-decimal-exponent",
     ],
 )
 def test_cli_gram_rejects_malformed_weight_lines(tmp_path, capsys, text, bad):
-    # zero denominators, extra fields and digits other than ASCII are refused
+    # zero denominators, extra fields, digits other than ASCII and exponent
+    # notation (alpha 1e100000000 would build the whole integer) are refused
     # where the line is read
     path = tmp_path / "w.txt"
     path.write_text(text, encoding="utf-8")

@@ -418,3 +418,14 @@ def test_weight_file_boundary_golden():
         lines.append(f"{text!r} {outcome!r}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "c4bfb053565922a8f8ac73d17493b19360fc506cb592a2a853596bd121d86509"
+
+
+def test_weight_file_reads_plain_decimals_but_no_exponents():
+    head = "lambda 1\nlambda_f 1\nmode free\n"
+    w = read_weight(head + "alpha 0.5\nI 1 [1] 1 0.25\n")
+    assert w.alpha == Fraction(1, 2)
+    assert "I 1 [1] 1 1/4\n" in write_weight(w)
+    # 1e100000000 would build a 100-million-digit integer before any check
+    for line in ("I 1 [1] 1 1e1\n", "alpha 1e100000000\n"):
+        with pytest.raises(ValueError, match="malformed weight-file line"):
+            read_weight(head + line)
