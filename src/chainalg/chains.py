@@ -7,10 +7,12 @@ algebra means equality of their actions on every chain, which this
 module probes up to a chosen body length.
 
 _act_gen_chain is the one rule for a single generator on a single chain.
-act and act_tensor apply it only to the terms that can act: each element
-is indexed once by the chain data its terms read (whole chain, prefix,
-suffix, interior word), and a one-entry memo keyed by identity keeps the
-index while equal_on_chains acts with the same difference on every chain.
+act and act_tensor share one loop that applies it only to the terms that
+can act: each element is indexed once by the chain data its terms read
+(whole chain, prefix, suffix, interior word), and a one-entry memo keyed by
+identity keeps the index while equal_on_chains acts with the same difference
+on every chain.  The loop sums integer numerators over one common
+denominator and builds one Fraction per output key, not per contribution.
 
 Young symmetrizers cut invariant subspaces out of tensor powers; the
 projected tensor of the leading chains in the standard argument
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     _ATOM_FORMS,
@@ -111,15 +114,18 @@ def _act_gen_chain(g: Generator, c: Chain):
 
 
 def _index_terms(e: Element) -> tuple:
-    """Tables from the chain data each term of e reads to its (generator, coeff).
+    """Tables from the chain data each term of e reads to its (generator, k), and D_e.
 
-    f terms are keyed by (left flavor, lower word, right flavor); l and r
-    terms by (end flavor, lower word) and s terms with a nonempty lower word
-    by that word, one table per lower length.  The length counter and the
-    inserters act on every chain and sit in a plain list.
+    D_e is the lcm of e's denominators, so k = coeff * D_e is an int.  f terms
+    are keyed by (left flavor, lower word, right flavor); l and r terms by
+    (end flavor, lower word) and s terms with a nonempty lower word by that
+    word, one table per lower length.  The length counter and the inserters
+    act on every chain and sit in a plain list.
     """
+    d_e = lcm(*(c.denominator for c in e.terms.values()))
     whole, left, right, inner, every = {}, {}, {}, {}, []
     for g, coeff in e:
+        term = (g, coeff.numerator * (d_e // coeff.denominator))
         kind, lo = g.kind, g.lower
         if kind == KIND_F:
             table, key = whole, (g.flavors[1], lo, g.flavors[3])
@@ -130,10 +136,10 @@ def _index_terms(e: Element) -> tuple:
         elif lo:
             table, key = inner.setdefault(len(lo), {}), lo
         else:
-            every.append((g, coeff))
+            every.append(term)
             continue
-        table.setdefault(key, []).append((g, coeff))
-    return whole, left, right, inner, every
+        table.setdefault(key, []).append(term)
+    return (whole, left, right, inner, every), d_e
 
 
 def _terms_on(index: tuple, c: Chain) -> list:
@@ -171,17 +177,29 @@ def _index_of(e: Element) -> tuple:
     return index
 
 
-def act(e: Element, psi: ChainState) -> ChainState:
-    """Bilinear extension of the generator action to states."""
+def _act_sum(e: Element, psi: Combination, tensor: bool) -> Combination:
+    """act, or act_tensor on every slot of chain-tuple keys, on int numerators:
+    psi is cleared over D_psi as e is over D_e, the contributions k * w * mult
+    sum per output key, and a nonzero total becomes Fraction(total, D_e * D_psi)."""
     if e.params != psi.params:
         raise ValueError("algebra parameter mismatch between element and state")
-    index = _index_of(e)
-    items = []
-    for c, w in psi:
-        for g, coeff in _terms_on(index, c):
-            for out, mult in _act_gen_chain(g, c):
-                items.append((out, coeff * w * mult))
-    return Combination.from_items(psi.params, items)
+    index, d_e = _index_of(e)
+    d_psi = lcm(*(w.denominator for w in psi.terms.values()))
+    acc = {}
+    for key, w in psi:
+        w_num = w.numerator * (d_psi // w.denominator)
+        for slot, c in enumerate(key) if tensor else ((0, key),):
+            for g, k in _terms_on(index, c):
+                for out, mult in _act_gen_chain(g, c):
+                    if tensor:
+                        out = key[:slot] + (out,) + key[slot + 1 :]
+                    acc[out] = acc.get(out, 0) + k * w_num * mult
+    return Combination(psi.params, {out: Fraction(t, d_e * d_psi) for out, t in acc.items() if t})
+
+
+def act(e: Element, psi: ChainState) -> ChainState:
+    """Bilinear extension of the generator action to states."""
+    return _act_sum(e, psi, tensor=False)
 
 
 def matrix_element(g: Generator, src: Chain, dst: Chain) -> int:
@@ -203,11 +221,7 @@ def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
     diff = a - b
     if diff.is_zero():
         return True
-    for c in all_chains(params, max_len):
-        basis = chain_state(params, c)
-        if not act(diff, basis).is_zero():
-            return False
-    return True
+    return all(act(diff, chain_state(params, c)).is_zero() for c in all_chains(params, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +233,7 @@ def tensor_state(params: AlgebraParams, chains_tuple, coeff=1) -> TensorState:
 
 def act_tensor(e: Element, psi: TensorState) -> TensorState:
     """Derivation action: sum over slots of the single-factor action."""
-    if e.params != psi.params:
-        raise ValueError("algebra parameter mismatch between element and state")
-    index = _index_of(e)
-    items = []
-    for tup, w in psi:
-        for slot, c in enumerate(tup):
-            for g, coeff in _terms_on(index, c):
-                for out, mult in _act_gen_chain(g, c):
-                    items.append(
-                        (tup[:slot] + (out,) + tup[slot + 1 :], coeff * w * mult)
-                    )
-    return Combination.from_items(psi.params, items)
+    return _act_sum(e, psi, tensor=True)
 
 
 def inner_chain(a: TensorState, b: TensorState) -> Fraction:

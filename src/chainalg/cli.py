@@ -215,7 +215,16 @@ def render_chain_state(state: Combination) -> str:
 
 def _parse_gamma(text: str) -> tuple:
     text = text.removeprefix("gamma=").strip()
-    return check_partition(_read_number(p) for p in text.split(",")) if text else ()
+    return check_partition(_gamma_part(p) for p in text.split(",")) if text else ()
+
+
+def _gamma_part(text: str) -> int:
+    try:
+        return _read_number(text)
+    except ValueError:  # only Python's digit limit rejects a signed ASCII digit run
+        if run := re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text, re.ASCII):
+            raise ValueError(f"--gamma part of {len(run[1])} digits is too long") from None
+        raise
 
 
 def _int(text: str) -> int:

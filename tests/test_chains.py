@@ -281,23 +281,46 @@ def _edge_terms(params):
     ]
 
 
+# pairwise coprime, so an element over several of them has a large lcm
+_PRIME_DENOMINATORS = (10007, 65537, 2**31 - 1, 2**61 - 1)
+
+
+def _assert_same_action(got, want):
+    assert got == want
+    assert all(type(v) is Fraction and v for v in got.terms.values())
+
+
 @pytest.mark.parametrize("params", [P11, P12, P21, P22], ids=lambda p: f"{p.colors},{p.flavors}")
 def test_indexed_action_matches_every_term(params):
     rng = random.Random(31 + 10 * params.colors + params.flavors)
     chains = list(all_chains(params, 4))
     edges = _edge_terms(params)
     everything = Combination.from_items(params, [(c, i + 1) for i, c in enumerate(chains)])
-    for _ in range(60):
+    signed = [(c, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)))
+              for c in rng.sample(chains, min(12, len(chains)))]
+    fractional = Combination.from_items(params, signed + [(chains[-1], Fraction(3, 2**61 - 1))])
+    zero = Combination.zero(params)
+    for i in range(60):
         extra = [(rng.randint(-3, 3) or 1, g) for g in rng.sample(edges, rng.randint(1, 5))]
         e = random_element(rng, params, max_terms=4, max_seq=3) + element(params, *extra)
+        if i % 2:
+            e = Combination.from_items(
+                params, [(g, c / rng.choice(_PRIME_DENOMINATORS)) for g, c in e]
+            )
         for c in chains:
             psi = chain_state(params, c)
-            assert act(e, psi) == _act_every_term(e, psi)
-        assert act(e, everything) == _act_every_term(e, everything)
+            _assert_same_action(act(e, psi), _act_every_term(e, psi))
+        for psi in (everything, fractional, zero):
+            _assert_same_action(act(e, psi), _act_every_term(e, psi))
         pairs = Combination.from_items(
-            params, [((rng.choice(chains), rng.choice(chains)), i + 1) for i in range(8)]
+            params,
+            [((rng.choice(chains), rng.choice(chains)), w) for _, w in signed[:8]],
         )
-        assert act_tensor(e, pairs) == _act_tensor_every_term(e, pairs)
+        for psi in (pairs, zero):
+            _assert_same_action(act_tensor(e, psi), _act_tensor_every_term(e, psi))
+    for psi in (everything, fractional):
+        _assert_same_action(act(zero, psi), zero)
+        assert act_tensor(zero, tensor_state(params, (chains[0], chains[-1]))) == zero
 
 
 def test_dropping_an_expansion_term_is_seen():
@@ -332,6 +355,34 @@ def test_act_memo_is_keyed_by_identity():
         act(e1, chain_state(P21, chain(1, (1,), 1)))
     with pytest.raises(ValueError):
         act_tensor(e1, tensor_state(P21, (chain(1, (1,), 1),)))
+
+
+def test_act_memo_tracks_coefficients_not_generators():
+    # the same generators under different coefficients: neither the tables
+    # nor the common denominator of one may serve the next
+    chains = list(all_chains(P22, 3))
+    psi = Combination.from_items(P22, [(c, Fraction(i + 1, 5)) for i, c in enumerate(chains)])
+    gens = (gen_s((1,), (1,)), gen_l(1, 2, (2,), (1,)), gen_s((), ()))
+    scales = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(1, 2))
+    elements = [element(P22, *((q, g) for g in gens)) for q in scales]
+    outs = [act(e, psi) for e in elements]
+    assert outs == [_act_every_term(e, psi) for e in elements]
+    pair = tensor_state(P22, chains[:2])
+    for q, e, out in zip(scales, elements, outs):
+        assert out == outs[0].scaled(q / scales[0]) and not out.is_zero()
+        assert act_tensor(e, pair) == _act_tensor_every_term(e, pair)
+
+
+def test_equal_on_chains_sees_a_tiny_coefficient():
+    e = element(P22, gen_s((1,), (2,)), (Fraction(3, 7), gen_l(1, 2, (2,), (1,))))
+    counter = element(P22, (Fraction(1, 2**61 - 1), gen_s((), ())))
+    assert equal_on_chains(e, e, 3)
+    assert not equal_on_chains(e, e + counter, 3)
+    sigma = gen_s((1,), (2,))
+    seventh = Fraction(1, 7)
+    assert equal_on_chains(
+        element(P22, (seventh, sigma)), sigma_left_expansion(sigma, P22).scaled(seventh), 4
+    )
 
 
 def test_no_float_reaches_a_coefficient(monkeypatch):

@@ -324,6 +324,18 @@ def test_cli_overlong_integer_is_a_column_syntax_error(capsys):
     assert captured.err == "chainalg: syntax error at column 10: integer of 5000 digits is too long\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["weight"], ["gram", "--max-size", "1"]], ids=["weight", "gram"]
+)
+def test_cli_overlong_gamma_part_names_the_flag(command, capsys):
+    # Python refuses int() of more than 4,300 digits; the message names --gamma
+    gamma = "2," + "1" * 5000
+    code = main(command + ["--gamma", gamma, "--lambda", "1", "--lambda-f", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "chainalg: --gamma part of 5000 digits is too long\n"
+
+
 def test_cli_missing_params_exit_code(capsys):
     code = main(["classify", "s[1|2]"])
     assert code == 2
