@@ -7,12 +7,11 @@ algebra means equality of their actions on every chain, which this
 module probes up to a chosen body length.
 
 _act_gen_chain is the one rule for a single generator on a single chain.
-act and act_tensor share one loop that applies it only to the terms that
-can act: each element is indexed once by the chain data its terms read
-(whole chain, prefix, suffix, interior word), and a one-entry memo keyed by
-identity keeps the index while equal_on_chains acts with the same difference
-on every chain.  The loop sums integer numerators over one common
-denominator and builds one Fraction per output key, not per contribution.
+act and act_tensor share one loop.  It applies that rule only to the terms
+that can act, indexing each element once by the chain data its terms read
+(whole chain, prefix, suffix, interior word; a one-entry memo keyed by
+identity keeps the index across equal_on_chains), and it sums integer
+numerators over one common denominator, building one Fraction per output.
 
 Young symmetrizers cut invariant subspaces out of tensor powers; the
 projected tensor of the leading chains in the standard argument
@@ -178,9 +177,7 @@ def _index_of(e: Element) -> tuple:
 
 
 def _act_sum(e: Element, psi: Combination, tensor: bool) -> Combination:
-    """act, or act_tensor on every slot of chain-tuple keys, on int numerators:
-    psi is cleared over D_psi as e is over D_e, the contributions k * w * mult
-    sum per output key, and a nonzero total becomes Fraction(total, D_e * D_psi)."""
+    """The loop of act, and of act_tensor (every slot of chain-tuple keys)."""
     if e.params != psi.params:
         raise ValueError("algebra parameter mismatch between element and state")
     index, d_e = _index_of(e)
@@ -221,7 +218,11 @@ def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
     diff = a - b
     if diff.is_zero():
         return True
-    return all(act(diff, chain_state(params, c)).is_zero() for c in all_chains(params, max_len))
+    for c in all_chains(params, max_len):
+        basis = chain_state(params, c)
+        if not act(diff, basis).is_zero():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

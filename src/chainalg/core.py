@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import collections
 import itertools
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -428,13 +430,16 @@ def render_generator(g: Generator) -> str:
     return g.kind + form.format(*g.flavors, render_seq(g.upper), render_seq(g.lower))
 
 
-def _read_number(text: str, kind=int):
+def _read_number(text: str, kind=int, what="integer"):
     """kind(text) for kind int or Fraction, from ASCII text without '_' separators
     or exponent notation (1e9 builds 10**9); a zero denominator is a ValueError."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
     if "e" in text.lower():
         raise ValueError(f"exponent notation in {text!r}")
+    digits = max(map(len, re.findall("[0-9]+", text)), default=0)
+    if digits > getattr(sys, "get_int_max_str_digits", int)() > 0:  # int()'s limit, from 3.10.7
+        raise ValueError(f"{what} of {digits} digits is too long")
     try:
         return kind(text)
     except ZeroDivisionError:

@@ -313,10 +313,13 @@ def test_indexed_action_matches_every_term(params):
         for psi in (everything, fractional, zero):
             _assert_same_action(act(e, psi), _act_every_term(e, psi))
         pairs = Combination.from_items(
-            params,
-            [((rng.choice(chains), rng.choice(chains)), w) for _, w in signed[:8]],
+            params, [((rng.choice(chains), rng.choice(chains)), n + 1) for n in range(8)]
         )
-        for psi in (pairs, zero):
+        signed_pairs = Combination.from_items(
+            params,
+            [((rng.choice(chains), rng.choice(chains)), rng.choice(signed)[1]) for _ in range(8)],
+        )
+        for psi in (pairs, signed_pairs, zero):
             _assert_same_action(act_tensor(e, psi), _act_tensor_every_term(e, psi))
     for psi in (everything, fractional):
         _assert_same_action(act(zero, psi), zero)
