@@ -20,7 +20,11 @@ is the omega image of that half, with the sign flipped.
 
 Rows are computed on field tuples (kind, upper, lower, flavors) with integer
 multiplicities, omega and mirror acting through core.omega_fields/mirror_fields;
-each term that survives cancellation is built once, as one Generator.
+each term that survives cancellation is built once, as one Generator.  Every
+row has integer coefficients: the halves yield +1 and -1, and the row of an
+extended interior operator is the sum of the integer rows of its expansion
+generators.  The bilinear bracket sums integer numerators over one common
+denominator and builds one Fraction per output generator.
 
 Grade-zero generators split into raising, diagonal and lowering by
 comparing the upper index word (sequence followed by its flavor indices)
@@ -32,7 +36,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .basis import to_b0
 from .core import (
@@ -77,15 +83,19 @@ def is_extended_sigma(g: Generator) -> bool:
     return g.kind == KIND_S and (not g.upper or not g.lower)
 
 
+def _sigma_left_gens(g: Generator, params: AlgebraParams) -> list:
+    """The generators of sigma_left_expansion(g), each with coefficient 1."""
+    gens = [gen_s((i,) + g.upper, (i,) + g.lower) for i in params.color_range()]
+    return gens + [gen_l(m, m, g.upper, g.lower) for m in params.flavor_range()]
+
+
 def sigma_left_expansion(g: Generator, params: AlgebraParams) -> Element:
     """s[I|J] as interior operators one step longer plus left-end operators.
 
     Acts identically on every chain; applicable to any index sequences,
     in particular the extended ones.
     """
-    items = [(gen_s((i,) + g.upper, (i,) + g.lower), 1) for i in params.color_range()]
-    items += [(gen_l(m, m, g.upper, g.lower), 1) for m in params.flavor_range()]
-    return Combination.from_items(params, items)
+    return Combination.from_items(params, ((h, 1) for h in _sigma_left_gens(g, params)))
 
 
 def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
@@ -232,36 +242,41 @@ _TABLE = {
 
 @lru_cache(maxsize=None)
 def bracket_gen(a: Generator, b: Generator, params: AlgebraParams) -> Element:
-    """Bracket of two generators as an exact Element."""
+    """Bracket of two generators as an exact Element, with integer coefficients."""
     if is_extended_sigma(a):
-        return _bracket_element(sigma_left_expansion(a, params),
-                                Combination.term(params, b), params)
-    if is_extended_sigma(b):
-        return _bracket_element(Combination.term(params, a),
-                                sigma_left_expansion(b, params), params)
-    fn = _TABLE.get((a.kind, b.kind))
-    if fn is not None:
+        rows = [bracket_gen(h, b, params) for h in _sigma_left_gens(a, params)]
+    elif is_extended_sigma(b):
+        rows = [bracket_gen(a, h, params) for h in _sigma_left_gens(b, params)]
+    elif (a.kind, b.kind) in _TABLE:
         acc = {}
         ta, tb = (a.kind, a.upper, a.lower, a.flavors), (b.kind, b.upper, b.lower, b.flavors)
-        for t, c in fn(ta, tb):
+        for t, c in _TABLE[a.kind, b.kind](ta, tb):
             acc[t] = acc.get(t, 0) + c
         return Combination(params, {Generator(*t): c for t, c in acc.items() if c})
-    # lower-priority kind first: antisymmetry
-    return -bracket_gen(b, a, params)
-
-
-def _bracket_element(a: Element, b: Element, params: AlgebraParams) -> Element:
-    return Combination.from_items(
-        params,
-        (t for g1, c1 in a for g2, c2 in b for t in bracket_gen(g1, g2, params).scaled(c1 * c2)),
-    )
+    else:  # lower-priority kind first: antisymmetry
+        return -bracket_gen(b, a, params)
+    acc = {}
+    for row in rows:
+        for h, m in row.terms.items():
+            acc[h] = acc.get(h, 0) + m.numerator
+    return Combination(params, acc)
 
 
 def bracket(a: Element, b: Element) -> Element:
-    """Bilinear extension of the generator-pair brackets."""
+    """Bilinear extension of bracket_gen: ints k1 * k2 * m summed over D_a * D_b,
+    D_a the lcm of a's denominators and k1 = coeff * D_a (b's k2 likewise)."""
     if a.params != b.params:
         raise ValueError("algebra parameter mismatch between bracket operands")
-    return _bracket_element(a, b, a.params)
+    d_a = lcm(*(c.denominator for c in a.terms.values()))
+    d_b = lcm(*(c.denominator for c in b.terms.values()))
+    nums_b = [(g2, c2.numerator * (d_b // c2.denominator)) for g2, c2 in b]
+    acc = {}
+    for g1, c1 in a:
+        k1 = c1.numerator * (d_a // c1.denominator)
+        for g2, k2 in nums_b:
+            for h, m in bracket_gen(g1, g2, a.params).terms.items():
+                acc[h] = acc.get(h, 0) + k1 * k2 * m.numerator
+    return Combination(a.params, acc).scaled(Fraction(1, d_a * d_b))
 
 
 # ---------------------------------------------------------------------------

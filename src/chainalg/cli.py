@@ -38,6 +38,7 @@ from .core import (
     Element,
     Generator,
     IndexRangeError,
+    NumberTooLongError,
     _read_number,
     check_indices,
     gen_key,
@@ -222,6 +223,8 @@ def _parse_gamma(text: str) -> tuple:
 def _int(text: str) -> int:
     try:
         return _read_number(text)
+    except NumberTooLongError as e:  # named by its digit count, not echoed
+        raise argparse.ArgumentTypeError(str(e)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

@@ -15,11 +15,12 @@ f, l, r the sequences may be empty.  Kind s usually has nonempty
 sequences, but the three extended forms s[I|], s[|J] and s[|] (inserter,
 deleter and length counter) are first-class generators as well.
 
+A Generator is a slotted frozen dataclass, hashed and compared by its fields.
 Elements are finitely supported rational linear combinations of
 generators; all arithmetic is exact (fractions.Fraction), never float.
 Combination.map is the one linear extension of a rule on generators; the
-bilinear bracket and module action sum the same scaled terms in one
-flat Combination.from_items.
+bilinear bracket and the module action sum integer numerators over one
+common denominator instead.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class AlgebraParams:
         return range(1, self.flavors + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     """One basis operator: kind, upper/lower index sequences, flavor tuple."""
 
@@ -91,6 +92,10 @@ class Generator:
 
 class IndexRangeError(ValueError):
     """An integer index fell outside the bounds set by the parameters."""
+
+
+class NumberTooLongError(ValueError):
+    """A number had more digits than int() reads (sys.get_int_max_str_digits)."""
 
 
 def check_indices(params: AlgebraParams, colors=(), flavors=()) -> None:
@@ -252,7 +257,7 @@ class Combination:
 
     @classmethod
     def term(cls, params: AlgebraParams, key, coeff=1) -> "Combination":
-        return cls(params, {key: _as_fraction(coeff)})
+        return cls(params, {key: coeff})
 
     @classmethod
     def from_items(cls, params: AlgebraParams, items: Iterable) -> "Combination":
@@ -321,6 +326,8 @@ class Combination:
 
     def scaled(self, c) -> "Combination":
         c = _as_fraction(c)
+        if c == 1:
+            return self  # instances are immutable
         out = type(self)(self.params)
         if c:
             out.terms = {k: c * v for k, v in self.terms.items()}
@@ -352,14 +359,8 @@ Element = Combination  # keys: Generator
 
 def element(params: AlgebraParams, *scaled_gens) -> Element:
     """Build an Element from (coeff, Generator) pairs or bare Generators."""
-    items = []
-    for t in scaled_gens:
-        if isinstance(t, Generator):
-            items.append((t, Fraction(1)))
-        else:
-            c, g = t
-            items.append((g, _as_fraction(c)))
-    return Combination.from_items(params, items)
+    pairs = ((1, t) if isinstance(t, Generator) else t for t in scaled_gens)
+    return Combination.from_items(params, ((g, c) for c, g in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +440,7 @@ def _read_number(text: str, kind=int, what="integer"):
         raise ValueError(f"exponent notation in {text!r}")
     digits = max(map(len, re.findall("[0-9]+", text)), default=0)
     if digits > getattr(sys, "get_int_max_str_digits", int)() > 0:  # int()'s limit, from 3.10.7
-        raise ValueError(f"{what} of {digits} digits is too long")
+        raise NumberTooLongError(f"{what} of {digits} digits is too long")
     try:
         return kind(text)
     except ZeroDivisionError:

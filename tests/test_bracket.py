@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -299,7 +300,7 @@ def test_omega_is_an_anti_automorphism_exhaustive():
         bracket_gen.cache_clear()
 
 
-def _bracket_golden_lines():
+def _bracket_golden_pairs():
     # (colors, flavors), largest index size of each generator, largest combined size
     for (colors, flavors), each, combined in (
         ((1, 1), 4, 8),
@@ -312,8 +313,13 @@ def _bracket_golden_lines():
         for a in gens:
             for b in gens:
                 if _size(a) + _size(b) <= combined:
-                    out = render_element(bracket_gen(a, b, params))
-                    yield f"{colors},{flavors} {a!r} {b!r} {out}"
+                    yield params, a, b
+
+
+def _bracket_golden_lines():
+    for params, a, b in _bracket_golden_pairs():
+        out = render_element(bracket_gen(a, b, params))
+        yield f"{params.colors},{params.flavors} {a!r} {b!r} {out}"
 
 
 def test_bracket_table_golden():
@@ -393,6 +399,70 @@ def test_field_tuple_rows_match_the_generator_reference(params):
     finally:
         bracket_gen.cache_clear()
     assert extended > 50 and nonzero > 500
+
+
+def test_bracket_rows_have_integer_coefficients():
+    # bracket reads each row coefficient's numerator: over the golden's pairs,
+    # extended interior operators included, every row is integral
+    bracket_gen.cache_clear()
+    try:
+        pairs = 0
+        for params, a, b in _bracket_golden_pairs():
+            pairs += 1
+            row = bracket_gen(a, b, params)
+            assert all(c.denominator == 1 for c in row.terms.values()), (a, b)
+    finally:
+        bracket_gen.cache_clear()
+    assert pairs == 61349
+
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 2**61 - 1)
+
+
+def _random_rational_element(rng, params, extended=None):
+    """1-4 random terms with signed fractional coefficients; optionally one more
+    term on the given extended interior operator."""
+    items = [
+        (random_generator(rng, params, max_seq=3),
+         Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(_DENOMINATORS)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    if extended is not None:
+        items.append((extended, Fraction(-5, 2**61 - 1)))
+    return Combination.from_items(params, items)
+
+
+@pytest.mark.parametrize(
+    "params", [P22, AlgebraParams(3, 2), AlgebraParams(2, 3)], ids=["2-2", "3-2", "2-3"]
+)
+def test_bracket_matches_the_reference_sum(params):
+    # the integer-numerator sum over one common denominator against the
+    # from_items sum of scaled reference rows that it replaces
+    rng = random.Random(params.colors * 10 + params.flavors + 7)
+    zero = Combination.zero(params)
+    cases = [(zero, zero)]
+    for _ in range(120):
+        a, b = _random_rational_element(rng, params), _random_rational_element(rng, params)
+        cases += [(a, b), (a, zero), (zero, b), (a, a)]
+    for g in (gen_s((), ()), gen_s((1,), ()), gen_s((), (params.colors, 1))):
+        for h in (gen_s((), ()), gen_s((params.colors,), ()), gen_s((), (1,))):
+            a = _random_rational_element(rng, params, extended=g)
+            b = _random_rational_element(rng, params, extended=h)
+            cases += [(a, b), (b, a)]
+    bracket_gen.cache_clear()
+    both_extended = big_denominators = nonzero = 0
+    try:
+        for a, b in cases:
+            got = bracket(a, b)
+            assert got == _reference_bracket(a, b, params), (a, b)
+            assert all(type(c) is Fraction and c != 0 for c in got.terms.values()), (a, b)
+            both_extended += any(map(is_extended_sigma, a.keys())) and any(
+                map(is_extended_sigma, b.keys()))
+            big_denominators += any(c.denominator % (2**61 - 1) == 0 for c in got.terms.values())
+            nonzero += bool(got)
+    finally:
+        bracket_gen.cache_clear()
+    assert both_extended > 30 and big_denominators > 40 and nonzero > 100
 
 
 def test_jacobi_suite_detects_a_broken_row(monkeypatch):

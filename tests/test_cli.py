@@ -336,6 +336,26 @@ def test_cli_overlong_gamma_part_names_the_flag(command, capsys):
     assert captured.err == "chainalg: --gamma part of 5000 digits is too long\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "s[1|1]", "--lambda", "{n}", "--lambda-f", "1"],
+        ["check", "--suite", "jacobi", "--seed", "{n}", "--lambda", "1", "--lambda-f", "1"],
+        ["gram", "--gamma", "1", "--max-size", "{n}", "--lambda", "1", "--lambda-f", "1"],
+    ],
+    ids=["lambda", "seed", "max-size"],
+)
+def test_cli_overlong_integer_flag_names_its_digit_count(argv, capsys):
+    # the flag's error names the digit count on one line instead of echoing 5,000 digits
+    flag = argv[argv.index("{n}") - 1]
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{n}", "7" * 5000) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "7777" not in captured.err
+    assert captured.err.endswith(f"error: argument {flag}: integer of 5000 digits is too long\n")
+
+
 def test_cli_missing_params_exit_code(capsys):
     code = main(["classify", "s[1|2]"])
     assert code == 2

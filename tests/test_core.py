@@ -1,5 +1,6 @@
 """Orderings, grading, anti-involution and exact element arithmetic."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from chainalg import (
 from chainalg.basis import to_b4_gen
 from chainalg.bracket import bracket_gen
 from chainalg.checks import random_element, random_generator
+from chainalg.cli import parse
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -167,6 +169,36 @@ def test_map_is_the_termwise_sum():
     assert out.is_zero() and out.terms == {}
     empty = Combination.zero(P22).map(lambda g: element(P22, g))
     assert empty.is_zero() and empty.params == P22
+
+
+def test_scaled_by_one_is_the_same_object():
+    e = element(P22, (Fraction(3, 2), gen_s((1,), ())), (-2, gen_l(1, 2, (), (2,))))
+    assert e.scaled(1) is e and e.scaled(Fraction(1)) is e
+    third = e.scaled(Fraction(1, 3))
+    assert third is not e and third.terms is not e.terms
+    assert third == element(
+        P22, (Fraction(1, 2), gen_s((1,), ())), (Fraction(-2, 3), gen_l(1, 2, (), (2,)))
+    )
+    assert e.get(gen_s((1,), ())) == Fraction(3, 2)  # e itself unchanged
+
+
+def test_generator_is_slotted_and_frozen():
+    g = gen_f(1, 2, 2, 1, (1, 2), ())
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.kind = "s"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.upper = ()
+    assert g != (g.kind, g.upper, g.lower, g.flavors)
+    for text, built in (
+        ("f(1,2;2,1)[1,2|]", g),
+        ("l(2,1)[|2,2]", gen_l(2, 1, (), (2, 2))),
+        ("r(1,1)[2|1]", gen_r(1, 1, (2,), (1,))),
+        ("s[|]", gen_s((), ())),
+    ):
+        ((_, parsed),) = parse(text, P22).terms
+        assert parsed == built and hash(parsed) == hash(built) and parsed is not built
+        assert len({parsed, built}) == 1
 
 
 def test_no_zero_coefficients_stored():
