@@ -34,6 +34,8 @@ from .chains import (
     act,
     act_tensor,
     all_chains,
+    arg_at,
+    arg_index,
     chain,
     chain_state,
     equal_on_chains,
@@ -51,8 +53,6 @@ from .basis import (
 )
 from .weights import (
     Weight,
-    arg_at,
-    arg_index,
     is_approximately_finite,
     read_weight,
     split_weight,

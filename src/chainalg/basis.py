@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from .chains import _act_gen_chain, all_chains
 from .core import (
     KIND_F,
     KIND_L,
@@ -246,8 +247,6 @@ def sparse_rank(rows: list) -> int:
 
 def independence_check_b0(params: AlgebraParams, max_size: int, max_len: int) -> bool:
     """Exact rank of the action matrix equals the number of b0 generators."""
-    from .chains import _act_gen_chain, all_chains
-
     gens = enumerate_b0(params, max_size)
     col_ids: dict = {}
     rows = []

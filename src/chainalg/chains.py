@@ -13,9 +13,13 @@ that can act, indexing each element once by the chain data its terms read
 identity keeps the index across equal_on_chains), and it sums integer
 numerators over one common denominator, building one Fraction per output.
 
+all_chains decides the one chain order: bodies in the sequence ordering,
+then flavor pairs, right flavor fastest.  chain_sort_key sorts in it and
+arg_at / arg_index are its position map, O(body length) each; row k of a
+partition weight sits on the k-th chain (partition_chains).
+
 Young symmetrizers cut invariant subspaces out of tensor powers; the
-projected tensor of the leading chains in the standard argument
-enumeration is a concrete lowest weight vector.
+projected tensor of the leading chains is a concrete lowest weight vector.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .core import (
     Element,
     Generator,
     all_seqs,
+    check_indices,
     render_seq,
 )
-from .weights import arg_at, check_partition
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,6 @@ TensorState = Combination  # keys: tuple of Chain, fixed length
 
 def chain_state(params: AlgebraParams, c: Chain, coeff=1) -> ChainState:
     return Combination.term(params, c, coeff)
-
-
-def chain_sort_key(c: Chain):
-    return (len(c.body), c.body, c.left, c.right)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,42 @@ def matrix_element(g: Generator, src: Chain, dst: Chain) -> int:
     return sum(m for out, m in _act_gen_chain(g, src) if out == dst)
 
 
+# ---------------------------------------------------------------------------
+# the chain order
+
 def all_chains(params: AlgebraParams, max_len: int):
-    """Every basis chain with body length up to max_len."""
+    """Every basis chain with body length up to max_len, ascending in chain_sort_key."""
     for body in all_seqs(params, max_len):
         for lf in params.flavor_range():
             for rf in params.flavor_range():
                 yield Chain(lf, body, rf)
+
+
+def chain_sort_key(c: Chain):
+    return (len(c.body), c.body, c.left, c.right)
+
+
+def arg_at(k: int, params: AlgebraParams) -> tuple:
+    """The k-th chain of all_chains (k from 1) as (left flavor, body, right flavor)."""
+    if k < 1:
+        raise ValueError("argument positions start at 1")
+    n, within = divmod(k - 1, params.flavors**2)
+    body = []
+    while n:  # n is the body's position in all_seqs, a bijective base-lambda numeral
+        n, digit = divmod(n - 1, params.colors)
+        body.append(digit + 1)
+    lf, rf = divmod(within, params.flavors)
+    return (lf + 1, tuple(reversed(body)), rf + 1)
+
+
+def arg_index(arg: tuple, params: AlgebraParams) -> int:
+    """Position (from 1) of the chain (left flavor, body, right flavor) in all_chains."""
+    lf, body, rf = arg
+    check_indices(params, body, (lf, rf))
+    n = 0
+    for i in body:
+        n = n * params.colors + i
+    return (n * params.flavors + lf - 1) * params.flavors + rf
 
 
 def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
@@ -251,6 +281,20 @@ def inner_chain(a: TensorState, b: TensorState) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Young symmetrizers
+
+def check_partition(gamma) -> tuple:
+    gamma = tuple(int(p) for p in gamma)
+    if any(p <= 0 for p in gamma):
+        raise ValueError("partition parts must be positive")
+    if any(a < b for a, b in zip(gamma, gamma[1:])):
+        raise ValueError("partition parts must be weakly decreasing")
+    return gamma
+
+
+def partition_chains(gamma: tuple, params: AlgebraParams):
+    """(k-th chain of all_chains, row k of gamma) for each row of the partition gamma."""
+    return zip(all_chains(params, len(gamma)), gamma)
+
 
 def _permute_tuple(tup, perm):
     # perm maps destination slot -> source slot
@@ -346,17 +390,9 @@ class ZeroProjectionError(ValueError):
 
 
 def lowest_weight_vector_concrete(gamma, params: AlgebraParams) -> TensorState:
-    """Symmetrized tensor of the leading chains of the argument enumeration.
-
-    Row k of the partition contributes its chains from the k-th argument
-    (flavors vary fastest, then bodies in the sequence ordering); the
-    result is the unnormalized Young projection.
-    """
-    gamma = tuple(gamma)
-    slots = []
-    for row_index, part in enumerate(gamma, start=1):
-        lf, body, rf = arg_at(row_index, params)
-        slots.extend([Chain(lf, body, rf)] * part)
+    """Unnormalized Young projection of the tensor with row k's parts on the k-th chain."""
+    gamma = check_partition(gamma)
+    slots = [c for c, part in partition_chains(gamma, params) for _ in range(part)]
     psi = tensor_state(params, slots)
     out = young_project(psi, gamma)
     if out.is_zero():

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import checks
 from .basis import to_b0, to_b4
 from .bracket import bracket, classify
-from .chains import Chain, chain_sort_key, act, render_chain
+from .chains import Chain, chain_sort_key, act, check_partition, render_chain
 from .core import (
     _ATOM_FORMS,
     AlgebraParams,
@@ -47,7 +47,7 @@ from .core import (
     render_terms,
 )
 from .verma import gram_matrix, inertia, render_word
-from .weights import check_partition, read_weight, weight_from_partition, write_weight
+from .weights import read_weight, weight_from_partition, write_weight
 
 
 class ExprSyntaxError(ValueError):

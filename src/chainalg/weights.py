@@ -16,13 +16,27 @@ Two modes:
   supported data; any other diagonal generator equals its b4 rewrite
   (``basis.to_b4``) in the algebra, so its eigenvalue is evaluated
   through that rewrite.  A table entry outside b4 is rejected.
+
+Weights build on chains: a whole-chain entry (l1, body, l2) is the value on
+one chain, the weight file lists those entries in chains.chain_sort_key
+order, and a partition weight puts row k on the k-th chain of all_chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .basis import in_b4, to_b4_gen
+from .chains import (
+    Chain,
+    all_chains,
+    arg_index,
+    chain_sort_key,
+    check_partition,
+    matrix_element,
+    partition_chains,
+)
 from .core import (
     KIND_F,
     KIND_L,
@@ -45,60 +59,6 @@ from .core import (
 class DivergentSumError(ValueError):
     """A derived-table sum has infinitely many nonzero summands."""
 
-
-# ---------------------------------------------------------------------------
-# argument enumeration for partition weights
-
-def seq_at(n: int, colors: int) -> tuple:
-    """The n-th index sequence (0-based) in the sequence ordering."""
-    if n == 0:
-        return ()
-    n -= 1
-    m = 1
-    while n >= colors**m:
-        n -= colors**m
-        m += 1
-    digits = []
-    for i in range(m):
-        power = colors ** (m - 1 - i)
-        digits.append(n // power + 1)
-        n %= power
-    return tuple(digits)
-
-
-def seq_index(seq: tuple, colors: int) -> int:
-    if not seq:
-        return 0
-    m = len(seq)
-    base = sum(colors**l for l in range(m))  # all strictly shorter sequences
-    rank = 0
-    for i, e in enumerate(seq):
-        rank += (e - 1) * colors ** (m - 1 - i)
-    return base + rank
-
-
-def arg_at(k: int, params: AlgebraParams) -> tuple:
-    """The k-th whole-chain diagonal argument (left flavor, body, right flavor).
-
-    Flavor pairs vary fastest (right flavor innermost), then the body
-    runs through the sequence ordering.
-    """
-    if k < 1:
-        raise ValueError("argument positions start at 1")
-    f = params.flavors
-    block, within = divmod(k - 1, f * f)
-    l1, l2 = divmod(within, f)
-    return (l1 + 1, seq_at(block, params.colors), l2 + 1)
-
-
-def arg_index(arg: tuple, params: AlgebraParams) -> int:
-    """Position of a whole-chain diagonal argument in the enumeration."""
-    l1, seq, l2 = arg
-    f = params.flavors
-    return seq_index(tuple(seq), params.colors) * f * f + (l1 - 1) * f + (l2 - 1) + 1
-
-
-# ---------------------------------------------------------------------------
 
 class Weight:
     """Lowest-weight data over a fixed AlgebraParams; immutable once built."""
@@ -173,8 +133,6 @@ class Weight:
         val = self._memo.get(g)
         if val is None:
             if self.mode == "af":
-                from .chains import Chain, matrix_element
-
                 if self.alpha != 0:
                     raise DivergentSumError(
                         "derived-table sums diverge for a nonzero constant tail"
@@ -197,43 +155,29 @@ class Weight:
 # ---------------------------------------------------------------------------
 # partitions and their weights
 
-def check_partition(gamma) -> tuple:
-    gamma = tuple(int(p) for p in gamma)
-    if any(p <= 0 for p in gamma):
-        raise ValueError("partition parts must be positive")
-    if any(a < b for a, b in zip(gamma, gamma[1:])):
-        raise ValueError("partition parts must be weakly decreasing")
-    return gamma
-
-
 def weight_from_partition(gamma, params: AlgebraParams) -> Weight:
     """The weight of the symmetrized tensor power attached to a partition."""
-    gamma = check_partition(gamma)
-    table = {}
-    for k, part in enumerate(gamma, start=1):
-        table[arg_at(k, params)] = Fraction(part)
+    rows = partition_chains(check_partition(gamma), params)
+    table = {(c.left, c.body, c.right): Fraction(part) for c, part in rows}
     return Weight(params, alpha=0, hI_table=table, mode="af")
 
 
 def support_frontier(w: Weight) -> int:
-    """Largest enumeration position carrying a nonzero deviation (0 if none)."""
-    if not w.hI_table:
-        return 0
-    return max(arg_index(arg, w.params) for arg in w.hI_table)
+    """Largest position in all_chains carrying a nonzero deviation (0 if none)."""
+    return max((arg_index(arg, w.params) for arg in w.hI_table), default=0)
 
 
 def is_approximately_finite(w: Weight) -> bool:
     """Integrality/monotonicity of the whole-chain table plus the sum rules."""
     if w.alpha != 0:
         return False
-    frontier = support_frontier(w)
-    values = [w.h_I(*arg_at(k, w.params)) for k in range(1, frontier + 2)]
-    for v in values:
-        if v.denominator != 1 or v < 0:
-            return False
-    for a, b in zip(values, values[1:]):
-        if a < b:
-            return False
+    # chains up to the tail length reach the one after the frontier
+    chains = islice(all_chains(w.params, tail_parameters(w)[1]), support_frontier(w) + 1)
+    values = [w.h_I(c.left, c.body, c.right) for c in chains]
+    if any(v.denominator != 1 or v < 0 for v in values):
+        return False
+    if any(a < b for a, b in zip(values, values[1:])):
+        return False
     if w.mode == "af":
         return True
     # free tables must reproduce the derived sums
@@ -315,14 +259,14 @@ _WORD = (str, str)
 # One row per line tag, in the order the tags are written: the reader and
 # renderer of each field after the tag (the last field is the value, the ones
 # before it make the key of the tag's table), and the order of a table's keys
-# (for I, the argument enumeration of arg_at).  The header tags come first.
+# (for I, chain_sort_key).  The header tags come first.
 _HEADER = ("lambda", "lambda_f", "alpha", "mode")
 _LINES = {
     "lambda": ((_INT,), None),
     "lambda_f": ((_INT,), None),
     "alpha": ((_VALUE,), None),
     "mode": ((_WORD,), None),
-    "I": ((_INT, _SEQ, _INT, _VALUE), lambda a: (len(a[1]), a[1], a[0], a[2])),
+    "I": ((_INT, _SEQ, _INT, _VALUE), lambda a: chain_sort_key(Chain(*a))),
     "II": ((_INT, _SEQ, _VALUE), lambda a: (a[0], len(a[1]), a[1])),
     "III": ((_SEQ, _INT, _VALUE), lambda a: (a[1], len(a[0]), a[0])),
     "IV": ((_SEQ, _VALUE), lambda s: (len(s), s)),

@@ -1,0 +1,50 @@
+"""Module structure of the package: imports sit at module top, and form no cycle."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import chainalg
+
+PACKAGE = Path(chainalg.__file__).parent
+
+
+def _parsed_modules() -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _package_modules(node) -> list:
+    """The chainalg modules an import statement names ([] for an outside import)."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return [node.module] if node.module else [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chainalg"):
+        return [node.module.removeprefix("chainalg").lstrip(".") or "__init__"]
+    if isinstance(node, ast.Import):
+        return [a.name.removeprefix("chainalg.") for a in node.names if a.name.startswith("chainalg.")]
+    return []
+
+
+def test_no_import_inside_a_function_or_class():
+    nested = set()
+    for name, tree in _parsed_modules().items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested |= {
+                    f"{name}.py:{node.lineno}"
+                    for node in ast.walk(scope)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(nested) == []
+
+
+def test_intra_package_import_graph_has_no_cycle():
+    graph = {
+        name: {m for node in ast.walk(tree) for m in _package_modules(node)}
+        for name, tree in _parsed_modules().items()
+    }
+    assert {"core", "chains", "basis", "weights", "cli"} <= graph.keys()
+    assert graph["cli"] >= {"checks", "core"}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle {' -> '.join(exc.args[1])}") from None

@@ -10,6 +10,7 @@ import pytest
 from chainalg import (
     AlgebraParams,
     Weight,
+    all_chains,
     arg_at,
     arg_index,
     is_approximately_finite,
@@ -20,6 +21,7 @@ from chainalg import (
     write_weight,
 )
 from chainalg.basis import in_b4
+from chainalg.chains import chain_sort_key
 from chainalg.core import IndexRangeError, all_seqs, gen_l, gen_r, gen_s, seq_key
 from chainalg.weights import DivergentSumError, check_partition, free_weight_from_af
 
@@ -40,6 +42,22 @@ def test_argument_enumeration_roundtrip():
     for params in (P11, P21, P22):
         for k in range(1, 80):
             assert arg_index(arg_at(k, params), params) == k
+    # arg_at / arg_index are the position map of all_chains, which ascends in chain_sort_key
+    for colors, flavors in itertools.product((1, 2, 3), repeat=2):
+        params = AlgebraParams(colors, flavors)
+        chains = list(itertools.islice(all_chains(params, 400), 400))
+        keys = [chain_sort_key(c) for c in chains]
+        assert len(chains) == 400 and all(a < b for a, b in zip(keys, keys[1:]))
+        for k, c in enumerate(chains, start=1):
+            assert arg_at(k, params) == (c.left, c.body, c.right)
+            assert arg_index(arg_at(k, params), params) == k
+
+
+def test_arg_index_rejects_out_of_range_indices():
+    # (3, (), 1) would read as the position of (1, (1,), 1), and (0, (), 1) as -1
+    for arg in ((3, (), 1), (0, (), 1), (1, (), 3), (1, (3,), 1), (1, (1, 0), 2)):
+        with pytest.raises(IndexRangeError):
+            arg_index(arg, P22)
 
 
 def test_weight_from_partition_tables():
