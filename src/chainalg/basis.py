@@ -26,7 +26,9 @@ but drops r(1,1)[|], r(1,1)[1...|] and r(1,1)[|1...].  The first two
 rules are written out; the deleter rule r(1,1)[|1...] is the omega image
 of the inserter rule r(1,1)[1...|], because both bases are invariant
 under the anti-involution omega, which swaps upper and lower data.  The
-b4 recursion depth is bounded by the total index size plus two.
+b4 recursion depth is bounded by the total index size plus two.  Only
+to_b4_gen is memoised, as its sub-generators repeat across Gram words; a b0
+step yields terms in b0 or one step from it, so to_b0_gen needs no memo.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ def _b0_step(g: Generator, params: AlgebraParams) -> Element:
     return Combination.from_items(params, items)
 
 
-@lru_cache(maxsize=None)
 def to_b0_gen(g: Generator, params: AlgebraParams) -> Element:
     if in_b0(g):
         return Combination.term(params, g)
@@ -173,24 +174,18 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     return Combination.from_items(params, items)
 
 
+@lru_cache(maxsize=None)
 def to_b4_gen(g: Generator, params: AlgebraParams) -> Element:
-    elem, _depth = _to_b4_gen_depth(g, params)
-    return elem
+    if in_b4(g):
+        return Combination.term(params, g)
+    return _b4_step(g, params).map(lambda h: to_b4_gen(h, params))
 
 
 def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
     """Longest substitution chain taken while rewriting g into b4."""
-    _elem, depth = _to_b4_gen_depth(g, params)
-    return depth
-
-
-@lru_cache(maxsize=None)
-def _to_b4_gen_depth(g: Generator, params: AlgebraParams):
     if in_b4(g):
-        return (Combination.term(params, g), 0)
-    step = _b4_step(g, params)
-    subs = {h: _to_b4_gen_depth(h, params) for h in step.keys()}
-    return (step.map(lambda h: subs[h][0]), 1 + max((d for _e, d in subs.values()), default=0))
+        return 0
+    return 1 + max((b4_rewrite_depth(h, params) for h in _b4_step(g, params).keys()), default=0)
 
 
 def to_b4(e: Element, params: AlgebraParams | None = None) -> Element:

@@ -445,6 +445,8 @@ def _read_number(text: str, kind=int, what="integer"):
         return kind(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # int()'s own text names no flag or field
+        raise ValueError(f"invalid {what}: {text!r}") from None
 
 
 def render_terms(pairs: list) -> str:

@@ -3,7 +3,8 @@
 A weight assigns a rational eigenvalue to every diagonal generator, one
 table per kind (whole-chain, left end, right end, interior).  The
 whole-chain table is stored as a constant tail value alpha plus finitely
-many deviations, so eventually-constant weights are closed form.
+many deviations, so eventually-constant weights are closed form.  Every
+other eigenvalue is computed on demand from the tables, never stored.
 
 Two modes:
 
@@ -61,7 +62,7 @@ class DivergentSumError(ValueError):
 
 
 class Weight:
-    """Lowest-weight data over a fixed AlgebraParams; immutable once built."""
+    """Lowest-weight tables over a fixed AlgebraParams; eigenvalues computed on demand."""
 
     def __init__(
         self,
@@ -100,7 +101,6 @@ class Weight:
         self.hII_table, self.hIII_table, self.hIV_table = _free_tables(self._free)
         if mode == "af" and self._free:
             raise ValueError("af mode derives the end and interior tables")
-        self._memo: dict = {}
         # verma.insert_letter results, keyed by (letter, word)
         self.letter_memo: dict = {}
 
@@ -130,25 +130,21 @@ class Weight:
             raise ValueError(f"{g!r} is not diagonal")
         if g.kind == KIND_F:
             return self.h_I(g.flavors[0], g.upper, g.flavors[2])
-        val = self._memo.get(g)
-        if val is None:
-            if self.mode == "af":
-                if self.alpha != 0:
-                    raise DivergentSumError(
-                        "derived-table sums diverge for a nonzero constant tail"
-                    )
-                val = sum(
-                    (v * matrix_element(g, Chain(*arg), Chain(*arg))
-                     for arg, v in self.hI_table.items()),
-                    Fraction(0),
+        if self.mode == "af":
+            if self.alpha != 0:
+                raise DivergentSumError(
+                    "derived-table sums diverge for a nonzero constant tail"
                 )
-            elif in_b4(g):
-                val = self._free.get(g, Fraction(0))
-            else:
-                val = Fraction(0)
-                for t, c in to_b4_gen(g, self.params):
-                    val += c * self.diagonal_eigenvalue(t)
-            self._memo[g] = val
+            return sum(
+                (v * matrix_element(g, Chain(*arg), Chain(*arg))
+                 for arg, v in self.hI_table.items()),
+                Fraction(0),
+            )
+        if in_b4(g):
+            return self._free.get(g, Fraction(0))
+        val = Fraction(0)
+        for t, c in to_b4_gen(g, self.params):
+            val += c * self.diagonal_eigenvalue(t)
         return val
 
 

@@ -20,7 +20,6 @@ from chainalg import (
     to_b4,
 )
 from chainalg.basis import (
-    _to_b4_gen_depth,
     b4_rewrite_depth,
     enumerate_generators,
     to_b0_gen,
@@ -194,13 +193,21 @@ def test_rewrite_rejects_mismatched_params():
 
 
 def test_rewrite_caches_are_clearable():
+    # the b4 rewrite is the one memoised rewrite; b0 rewrites are not cached
     g = gen_l(1, 1, (2, 1), (2, 1))
-    for cached, rewrite in ((to_b0_gen, to_b0), (_to_b4_gen_depth, to_b4)):
-        before = rewrite(element(P21, g))
-        assert cached.cache_info().currsize > 0
-        cached.cache_clear()
-        assert cached.cache_info().currsize == 0
-        assert rewrite(element(P21, g)) == before
+    before = to_b4(element(P21, g))
+    assert to_b4_gen.cache_info().currsize > 0
+    to_b4_gen.cache_clear()
+    assert to_b4_gen.cache_info().currsize == 0
+    assert to_b4(element(P21, g)) == before
+
+
+def test_to_b0_gen_rewrites_long_sequences():
+    # a b0 rewrite takes at most two steps whatever the sequence length, so
+    # 400 shared 1s raise no RecursionError
+    g = gen_f(1, 1, 1, 1, (1,) * 400, (1,) * 400)
+    out = to_b0_gen(g, P22)
+    assert out.keys() and all(in_b0(t) for t in out.keys())
 
 
 def test_b4_rewrite_depth_is_bounded():

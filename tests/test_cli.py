@@ -531,10 +531,16 @@ def test_cli_gram_rejects_malformed_weight_lines(tmp_path, capsys, text, bad):
         (["weight", "--gamma", "\u0662"], "not an ASCII number: '\u0662'"),
         (["weight", "--gamma", "1_0"], "not an ASCII number: '1_0'"),
         (["gram", "--gamma", "2,\u0661", "--max-size", "1"], "not an ASCII number: '\u0661'"),
+        (["weight", "--gamma", "2,,1"], "invalid --gamma part: ''"),
+        (["weight", "--gamma", "2,1,"], "invalid --gamma part: ''"),
+        (["weight", "--gamma", "x"], "invalid --gamma part: 'x'"),
+        (["weight", "--gamma", "1.5"], "invalid --gamma part: '1.5'"),
+        (["gram", "--gamma", "1/2", "--max-size", "1"], "invalid --gamma part: '1/2'"),
     ],
     ids=[
         "arabic-digit", "superscript", "letter", "underscore", "gamma-arabic", "gamma-underscore",
-        "gram-gamma",
+        "gram-gamma", "gamma-empty-part", "gamma-trailing-comma", "gamma-word", "gamma-decimal",
+        "gamma-fraction",
     ],
 )
 def test_cli_reads_ascii_digits_only(argv, err, capsys):

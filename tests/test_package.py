@@ -1,4 +1,5 @@
-"""Module structure of the package: imports sit at module top, and form no cycle."""
+"""Module structure of the package: imports sit at module top and form no cycle,
+and the caches are the ones listed in the README."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -48,3 +49,25 @@ def test_intra_package_import_graph_has_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise AssertionError(f"import cycle {' -> '.join(exc.args[1])}") from None
+
+
+CACHES = ("lru_cache", "cache", "cached_property")  # functools' memoising decorators
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_memo_inventory():
+    # a new cache joins this list and the README's list of memos
+    cached, with_global = set(), set()
+    for name, tree in _parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_decorator_name(d) in CACHES for d in node.decorator_list):
+                    cached.add(f"{name}.{node.name}")
+            elif isinstance(node, ast.Global):
+                with_global.add(name)
+    assert cached == {"bracket.bracket_gen", "basis.to_b4_gen"}
+    assert with_global == {"chains"}
