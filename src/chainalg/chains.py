@@ -12,6 +12,8 @@ that can act, indexing each element once by the chain data its terms read
 (whole chain, prefix, suffix, interior word; a one-entry memo keyed by
 identity keeps the index across equal_on_chains), and it sums integer
 numerators over one common denominator, building one Fraction per output.
+equal_on_chains asks act only about chains where that index finds a term of
+the difference: act applies no other term, so it maps every other chain to 0.
 
 all_chains decides the one chain order: bodies in the sequence ordering,
 then flavor pairs, right flavor fastest.  chain_sort_key sorts in it and
@@ -244,13 +246,15 @@ def arg_index(arg: tuple, params: AlgebraParams) -> int:
 
 def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
     """Whether a and b act identically on every chain of body length <= max_len."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
     params = a.params
     diff = a - b
     if diff.is_zero():
         return True
+    index, _ = _index_of(diff)
     for c in all_chains(params, max_len):
-        basis = chain_state(params, c)
-        if not act(diff, basis).is_zero():
+        if _terms_on(index, c) and not act(diff, chain_state(params, c)).is_zero():
             return False
     return True
 

@@ -20,7 +20,8 @@ Elements are finitely supported rational linear combinations of
 generators; all arithmetic is exact (fractions.Fraction), never float.
 Combination.map is the one linear extension of a rule on generators; the
 bilinear bracket and the module action sum integer numerators over one
-common denominator instead.
+common denominator instead.  A Combination stores a coefficient as it is
+under a new key and adds only when a key repeats.
 """
 
 from __future__ import annotations
@@ -223,9 +224,9 @@ def gen_compare(x: Generator, y: Generator) -> int:
 # rational linear combinations
 
 def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+    if type(c) is Fraction:
         return c
-    if isinstance(c, int):
+    if isinstance(c, (int, Fraction)):  # bool and Fraction subclasses too
         return Fraction(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
@@ -257,7 +258,10 @@ class Combination:
 
     @classmethod
     def term(cls, params: AlgebraParams, key, coeff=1) -> "Combination":
-        return cls(params, {key: coeff})
+        out, coeff = cls(params), _as_fraction(coeff)
+        if coeff:
+            out.terms = {key: coeff}
+        return out
 
     @classmethod
     def from_items(cls, params: AlgebraParams, items: Iterable) -> "Combination":
@@ -265,9 +269,12 @@ class Combination:
         for k, c in items:
             c = _as_fraction(c)
             if c:
-                acc[k] = acc.get(k, 0) + c
-                if not acc[k]:
-                    del acc[k]
+                if k in acc:
+                    c += acc[k]
+                    if not c:
+                        del acc[k]
+                        continue
+                acc[k] = c
         out = cls(params)
         out.terms = acc
         return out
@@ -307,11 +314,12 @@ class Combination:
         self._check(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            s = acc.get(k, 0) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
+            if k in acc:
+                c += acc[k]
+                if not c:
+                    del acc[k]
+                    continue
+            acc[k] = c
         out = type(self)(self.params)
         out.terms = acc
         return out

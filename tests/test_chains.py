@@ -29,7 +29,7 @@ from chainalg import (
 from chainalg.basis import enumerate_generators, in_b4
 from chainalg.bracket import TriangularClass, classify, sigma_left_expansion, sigma_right_expansion
 from chainalg.chains import _act_gen_chain, all_chains, young_scalar
-from chainalg.checks import random_element, random_generator
+from chainalg.checks import _gg_left, random_element, random_generator, suite_identities
 
 P11 = AlgebraParams(1, 1)
 P12 = AlgebraParams(1, 2)
@@ -430,3 +430,76 @@ def test_no_float_reaches_a_coefficient(monkeypatch):
     assert sorted(seen) == ["act", "act_tensor", "gram", "hermitian_form", "radical"]
     for name, values in seen.items():
         assert values and {type(v) for v in values} <= {int, Fraction}, name
+
+
+# ---------------------------------------------------------------------------
+# equal_on_chains asks act only about the chains some term of the difference
+# reads; these tests compare it with acting by every term on every chain
+
+
+def _equal_on_every_chain(a, b, max_len):
+    diff = a - b
+    return all(
+        _act_every_term(diff, chain_state(a.params, c)).is_zero()
+        for c in all_chains(a.params, max_len)
+    )
+
+
+def _long_lower_terms(params, max_len):
+    top, long = params.flavors, (params.colors,) * (max_len + 1)
+    return [
+        gen_l(1, top, (1,), long),
+        gen_r(top, 1, (), long),
+        gen_s((1,), long),
+        gen_f(1, top, top, 1, (1,), long),
+        gen_f(top, 1, 1, top, (), (1,) * max_len),  # mismatched end flavors when lambda_f > 1
+        gen_f(1, top, 1, top, (1,), ()),
+    ]
+
+
+@pytest.mark.parametrize("params", [P11, P21, P12, P22], ids=lambda p: f"{p.colors},{p.flavors}")
+def test_equal_on_chains_matches_acting_on_every_chain(params):
+    rng = random.Random(43 + 10 * params.colors + params.flavors)
+    tiny = Fraction(1, 2**61 - 1)
+    outcomes = []
+    for _ in range(40):
+        max_len = rng.randint(0, 4)
+        gens = _edge_terms(params) + _long_lower_terms(params, max_len)
+        extra = [(rng.randint(-3, 3) or 1, g) for g in rng.sample(gens, rng.randint(1, 4))]
+        a = random_element(rng, params, max_terms=3, max_seq=3) + element(params, *extra)
+        g = rng.choice(list(a.keys()) + gens)
+        b = a + element(params, (tiny, g))  # differs from a on one term only
+        expansion = sigma_left_expansion(gen_s((1,), (params.colors,)), params)
+        lhs, rhs = _gg_left(params, 1, params.flavors, (1,), (params.colors,), max_len)
+        for x, y in ((a, b), (b, a), (a, a.scaled(1 + tiny)), (expansion, b - a),
+                     (lhs, rhs), (lhs + a, rhs + b), (lhs, rhs + element(params, (tiny, g)))):
+            want = _equal_on_every_chain(x, y, max_len)
+            assert equal_on_chains(x, y, max_len) == want
+            outcomes.append(want)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+
+def test_equal_on_chains_skips_chains_no_term_reads(monkeypatch):
+    from chainalg import chains
+
+    lhs, rhs = _gg_left(P22, 1, 2, (1,), (2,), 5)
+    assert len(list(all_chains(P22, 5))) == 252
+    calls = []
+
+    def counting(e, psi):
+        calls.append(psi)
+        return act(e, psi)
+
+    monkeypatch.setattr(chains, "act", counting)
+    assert equal_on_chains(lhs, rhs, 5)
+    assert 0 < len(calls) < 252
+
+
+def test_equal_on_chains_rejects_a_negative_length():
+    e = element(P22, gen_s((1,), (2,)))
+    for a, b in ((e, e), (e, e.scaled(2)), (e, sigma_left_expansion(gen_s((1,), (2,)), P22))):
+        with pytest.raises(ValueError, match="max_len"):
+            equal_on_chains(a, b, -1)
+    assert equal_on_chains(e, e + element(P22, gen_l(1, 1, (), (1,))), 0)
+    with pytest.raises(ValueError, match="max_len"):
+        suite_identities(P22, max_len=-1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -229,3 +230,67 @@ def test_gen_key_orders_by_grade_then_size_then_lower():
     assert gen_key(gen_s((1,), ())) > gen_key(gen_s((1,), (1,)))
     assert gen_key(gen_s((1, 1), (1,))) > gen_key(gen_s((1,), ()))
     assert gen_key(gen_s((1,), (2,))) < gen_key(gen_s((2,), (2,)))
+
+
+# ---------------------------------------------------------------------------
+# Combination stores a coefficient as is on a new key and adds only on a
+# repeated one; these tests compare it with converting every input first
+
+
+class _Sub(Fraction):
+    """A Fraction subclass: its values must still be stored as plain Fractions."""
+
+
+def _summed(items) -> dict:
+    acc = {}
+    for k, c in items:
+        acc[k] = acc.get(k, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _assert_stored(out, want: dict):
+    assert out.terms == want
+    assert all(type(c) is Fraction and c for c in out.terms.values())
+
+
+def test_combination_fast_paths_match_converting_first():
+    rng = random.Random(41)
+    keys = [gen_s((i,), ()) for i in (1, 2)] + [gen_l(1, 2, (), (1,)), gen_f(1, 2, 2, 1, (), ())]
+    coeffs = (0, 1, -2, 7, True, False, Fraction(0), Fraction(3, 4), Fraction(-3, 4),
+              _Sub(1, 3), _Sub(-1, 3), _Sub(0), Fraction(1, 2**61 - 1))
+    for _ in range(200):
+        items = [(rng.choice(keys), rng.choice(coeffs)) for _ in range(rng.randint(0, 8))]
+        more = [(rng.choice(keys), rng.choice(coeffs)) for _ in range(rng.randint(0, 8))]
+        a, b = Combination.from_items(P22, items), Combination.from_items(P22, more)
+        _assert_stored(a, _summed(items))
+        _assert_stored(a + b, _summed(items + more))
+        _assert_stored(b + a, _summed(items + more))
+        _assert_stored(a - a, {})
+    for c in coeffs:
+        _assert_stored(Combination.term(P22, keys[0], c), _summed([(keys[0], c)]))
+        _assert_stored(Combination(P22, {keys[0]: c}), _summed([(keys[0], c)]))
+        _assert_stored(Combination.term(P22, keys[0]).scaled(c), _summed([(keys[0], c)]))
+
+
+def test_combination_sums_repeated_keys_and_drops_cancelled_ones():
+    g, h = gen_s((1,), (2,)), gen_r(2, 1, (1,), ())
+    half = Fraction(1, 2)
+    _assert_stored(Combination.from_items(P22, [(g, 1), (h, 2), (g, half)]), {g: 3 * half, h: 2})
+    _assert_stored(Combination.from_items(P22, [(g, 1), (h, 2), (g, -1)]), {h: 2})
+    _assert_stored(Combination.from_items(P22, [(g, half), (g, half)]), {g: 1})  # one object twice
+    one = Combination.term(P22, g, half)
+    _assert_stored(one + one, {g: 1})
+    _assert_stored(one + Combination.term(P22, g, -half) + Combination.term(P22, h), {h: 1})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Decimal(1), Decimal("0.5")], ids=repr)
+def test_combination_rejects_inexact_coefficients(bad):
+    g = gen_s((1,), ())
+    for build in (
+        lambda: Combination.from_items(P22, [(g, 1), (g, bad)]),
+        lambda: Combination.term(P22, g, bad),
+        lambda: Combination(P22, {g: bad}),
+        lambda: Combination.term(P22, g).scaled(bad),
+    ):
+        with pytest.raises(TypeError):
+            build()
