@@ -1,9 +1,19 @@
 """Lie bracket of the open string algebra and the triangular-like split.
 
 The bracket of two basis generators is a finite combination of basis
-generators, given kind by kind below; delta-matching of sequence
-splittings is enumerated exhaustively (interior split parts must be
-nonempty, boundary parts may be empty exactly where the formulas allow).
+generators.  Each term of a half is one way b's upper word K sits on a's
+lower word J: K starts at offset d of J (d < 0 when K starts first), the
+words agree where they overlap (_agree), and _meet glues what K has beyond
+J onto a's upper word and what J has beyond K onto b's lower word.  An end
+operator pins its word to that end of the chain and a whole-chain word is
+the whole body, so each half allows only the offsets its two kinds fit:
+  f-l  d = 0, |K| <= |J|            K starts the body J
+  f-s  0 <= d <= |J|-|K|            K lies inside the body J
+  l-l  d = 0                        both start at the left end (*)
+  l-r  max(0, |J|-|K|) <= d <= |J|  J and K cover the body together (*)
+  l-s  0 <= d < |J|                 K starts inside J, which starts the chain
+  s-s  1-|K| <= d < |J|             any nonempty overlap
+where (*) marks the halves whose overlap may be empty.
 Brackets touching an extended interior operator (an empty sequence on a
 kind-s generator) first replace it by the equivalent combination of
 one-step-longer interior operators plus left-end operators, which acts
@@ -62,23 +72,6 @@ from .core import (
 )
 
 
-def _splits2(seq, ne1=False, ne2=False):
-    lo = 1 if ne1 else 0
-    hi = len(seq) - (1 if ne2 else 0)
-    for cut in range(lo, hi + 1):
-        yield seq[:cut], seq[cut:]
-
-
-def _splits3(seq, ne=(True, True, True)):
-    n = len(seq)
-    lo1 = 1 if ne[0] else 0
-    for c1 in range(lo1, n + 1):
-        lo2 = c1 + 1 if ne[1] else c1
-        hi2 = n - (1 if ne[2] else 0)
-        for c2 in range(lo2, hi2 + 1):
-            yield seq[:c1], seq[c1:c2], seq[c2:]
-
-
 def is_extended_sigma(g: Generator) -> bool:
     return g.kind == KIND_S and (not g.upper or not g.lower)
 
@@ -115,88 +108,49 @@ def _ff(I, J, fa, K, L, fb):
         yield KIND_F, I, L, (a1, b2, a3, b4)
 
 
+def _meet(I, J, K, L, d):
+    """(upper, lower) of the term where K starts at position d of J (d may be negative)."""
+    return K[:max(0, -d)] + I + K[len(J) - d:], J[:max(0, d)] + L + J[d + len(K):]
+
+
+def _agree(J, K, d):
+    """Whether J and K, K starting at position d of J, are equal where they overlap."""
+    lo, hi = max(0, d), min(len(J), d + len(K))
+    return J[lo:hi] == K[lo - d:hi - d]
+
+
 def _fl(I, J, fa, K, L, fb):
-    a1, a2, a3, a4 = fa
-    b1, b2 = fb
-    if b1 == a2:
-        for j1, j2 in _splits2(J):
-            if j1 == K:
-                yield KIND_F, I, L + j2, (a1, b2, a3, a4)
+    if fb[0] == fa[1] and len(K) <= len(J) and _agree(J, K, 0):
+        yield KIND_F, *_meet(I, J, K, L, 0), (fa[0], fb[1], *fa[2:])
 
 
 def _fs(I, J, fa, K, L, fb):
-    for j1, j2, j3 in _splits3(J, ne=(False, True, False)):
-        if j2 == K:
-            yield KIND_F, I, j1 + L + j3, fa
+    for d in range(len(J) - len(K) + 1):
+        if _agree(J, K, d):
+            yield KIND_F, *_meet(I, J, K, L, d), fa
 
 
 def _ll(I, J, fa, K, L, fb):
-    a1, a2 = fa
-    b1, b2 = fb
-    if b1 != a2:
-        return
-    if K == J:
-        yield KIND_L, I, L, (a1, b2)
-    for j1, j2 in _splits2(J, ne2=True):
-        if j1 == K:
-            yield KIND_L, I, L + j2, (a1, b2)
-    for k1, k2 in _splits2(K, ne2=True):
-        if k1 == J:
-            yield KIND_L, I + k2, L, (a1, b2)
+    if fb[0] == fa[1] and _agree(J, K, 0):
+        yield KIND_L, *_meet(I, J, K, L, 0), (fa[0], fb[1])
 
 
 def _lr(I, J, fa, K, L, fb):
-    for j1, j2 in _splits2(J):
-        for k1, k2 in _splits2(K):
-            if k1 == j2:
-                yield KIND_F, I + k2, j1 + L, fa + fb
+    for d in range(max(0, len(J) - len(K)), len(J) + 1):
+        if _agree(J, K, d):
+            yield KIND_F, *_meet(I, J, K, L, d), fa + fb
 
 
 def _ls(I, J, fa, K, L, fb):
-    if J == K:
-        yield KIND_L, I, L, fa
-    for k1, k2 in _splits2(K, ne1=True, ne2=True):
-        if k1 == J:
-            yield KIND_L, I + k2, L, fa
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        if j2 == K:
-            yield KIND_L, I, j1 + L, fa
-        if j1 == K:
-            yield KIND_L, I, L + j2, fa
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        for k1, k2 in _splits2(K, ne1=True, ne2=True):
-            if k1 == j2:
-                yield KIND_L, I + k2, j1 + L, fa
-    for j1, j2, j3 in _splits3(J):
-        if j2 == K:
-            yield KIND_L, I, j1 + L + j3, fa
+    for d in range(len(J)):
+        if _agree(J, K, d):
+            yield KIND_L, *_meet(I, J, K, L, d), fa
 
 
 def _ss(I, J, fa, K, L, fb):
-    if K == J:
-        yield KIND_S, I, L, ()
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        if K == j2:
-            yield KIND_S, I, j1 + L, ()
-        if K == j1:
-            yield KIND_S, I, L + j2, ()
-    for k1, k2 in _splits2(K, ne1=True, ne2=True):
-        if k1 == J:
-            yield KIND_S, I + k2, L, ()
-        if k2 == J:
-            yield KIND_S, k1 + I, L, ()
-    for j1, j2 in _splits2(J, ne1=True, ne2=True):
-        for k1, k2 in _splits2(K, ne1=True, ne2=True):
-            if k1 == j2:
-                yield KIND_S, I + k2, j1 + L, ()
-            if k2 == j1:
-                yield KIND_S, k1 + I, L + j2, ()
-    for j1, j2, j3 in _splits3(J):
-        if K == j2:
-            yield KIND_S, I, j1 + L + j3, ()
-    for k1, k2, k3 in _splits3(K):
-        if k2 == J:
-            yield KIND_S, k1 + I + k3, L, ()
+    for d in range(1 - len(K), len(J)):
+        if _agree(J, K, d):
+            yield KIND_S, *_meet(I, J, K, L, d), ()
 
 
 def _commutator(half):

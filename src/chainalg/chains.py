@@ -22,6 +22,9 @@ partition weight sits on the k-th chain (partition_chains).
 
 Young symmetrizers cut invariant subspaces out of tensor powers; the
 projected tensor of the leading chains is a concrete lowest weight vector.
+The row (column) group is the product of its rows' (columns') symmetric
+groups, so the projector symmetrizes one row, then antisymmetrizes one
+column, at a time.
 """
 
 from __future__ import annotations
@@ -300,77 +303,35 @@ def partition_chains(gamma: tuple, params: AlgebraParams):
     return zip(all_chains(params, len(gamma)), gamma)
 
 
-def _permute_tuple(tup, perm):
-    # perm maps destination slot -> source slot
-    return tuple(tup[perm[i]] for i in range(len(tup)))
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _group_permutations(blocks, d):
-    """All slot permutations preserving each block (as dest -> source maps)."""
-    perms = [list(range(d))]
+def _symmetrize(psi: TensorState, blocks, signed: bool) -> TensorState:
+    """Sum psi over the permutations of each block's slots, one block at a time,
+    each term with the permutation's sign if signed."""
     for block in blocks:
-        new = []
-        for base in perms:
+        items = []
+        for tup, c in psi:
             for img in itertools.permutations(block):
-                p = list(base)
+                t = list(tup)
                 for pos, src in zip(block, img):
-                    p[pos] = base[src]
-                new.append(p)
-        perms = new
-    return [tuple(p) for p in perms]
-
-
-def canonical_tableau(gamma) -> list:
-    """Row-major filling of the partition diagram with slots 0..d-1."""
-    rows, k = [], 0
-    for part in gamma:
-        rows.append(list(range(k, k + part)))
-        k += part
-    return rows
+                    t[pos] = tup[src]
+                # blocks ascend, so the inversions of img give its sign
+                odd = sum(x > y for x, y in itertools.combinations(img, 2)) % 2
+                items.append((tuple(t), -c if signed and odd else c))
+        psi = Combination.from_items(psi.params, items)
+    return psi
 
 
 def young_project(psi: TensorState, gamma) -> TensorState:
-    """Row-symmetrize then column-antisymmetrize tensor slots (unnormalized)."""
+    """Row-symmetrize then column-antisymmetrize tensor slots (unnormalized),
+    on the row-major filling of the diagram with slots 0..d-1."""
     gamma = check_partition(gamma)
     d = sum(gamma)
     arities = {len(k) for k in psi.keys()}
     if arities and arities != {d}:
         raise ValueError(f"partition size {d} does not match tensor arity")
-    rows = canonical_tableau(gamma)
-    cols = []
-    for j in range(gamma[0] if gamma else 0):
-        col = [row[j] for row in rows if j < len(row)]
-        cols.append(col)
-    row_perms = _group_permutations(rows, d)
-    col_perms = _group_permutations(cols, d)
-
-    sym_items = []
-    for tup, c in psi:
-        for p in row_perms:
-            sym_items.append((_permute_tuple(tup, p), c))
-    sym = Combination.from_items(psi.params, sym_items)
-
-    out_items = []
-    for tup, c in sym:
-        for p in col_perms:
-            out_items.append((_permute_tuple(tup, p), c * _perm_sign(p)))
-    return Combination.from_items(psi.params, out_items)
+    starts = itertools.accumulate(gamma, initial=0)
+    rows = [range(k, k + part) for k, part in zip(starts, gamma)]
+    cols = [[row[j] for row in rows if j < len(row)] for j in range(gamma[0] if gamma else 0)]
+    return _symmetrize(_symmetrize(psi, rows, False), cols, True)
 
 
 def young_scalar(gamma) -> Fraction:

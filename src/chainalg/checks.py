@@ -209,6 +209,8 @@ def _act_word(word, state, params):
 
 def commutator_of_actions_ok(a: Element, b: Element, max_len: int) -> bool:
     """act(bracket(a,b)) equals the commutator of actions on bounded chains."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
     params = a.params
     br = bracket(a, b)
     for c in all_chains(params, max_len):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,14 @@ def test_bracket_matches_commutator_of_actions():
         a = element(P22, random_generator(rng, P22))
         b = element(P22, random_generator(rng, P22))
         assert commutator_of_actions_ok(a, b, 3)
+
+
+def test_commutator_of_actions_rejects_a_negative_length():
+    # a negative length would probe no chain and pass any pair
+    a, b = element(P22, gen_s((1,), (2,))), element(P22, gen_s((2,), (1,)))
+    assert commutator_of_actions_ok(a, b, 0)
+    with pytest.raises(ValueError, match="^max_len must be at least 0, got -1$"):
+        commutator_of_actions_ok(a, b, -1)
 
 
 def test_whole_chain_operators_form_an_ideal():
@@ -332,20 +341,124 @@ def test_bracket_table_golden():
     assert digest == "b2df100fab49f675f7fbd671496e91b7f6aa44b44acf4949eb1b098b740fbf57"
 
 
-# The slow path that the field-tuple rows replace: every term of a half is
-# wrapped in a Generator, omega_gen and mirror_gen act on whole generators,
-# and the +1/-1 terms are summed by Combination.from_items.
+# The hand enumeration of overlap shapes that the offset rule (_meet, _agree)
+# replaces, kept as the reference: every split of J and K into pieces, with
+# the pieces that must be nonempty flagged.
+def _splits2(seq, ne1=False, ne2=False):
+    lo = 1 if ne1 else 0
+    hi = len(seq) - (1 if ne2 else 0)
+    for cut in range(lo, hi + 1):
+        yield seq[:cut], seq[cut:]
+
+
+def _splits3(seq, ne=(True, True, True)):
+    n = len(seq)
+    lo1 = 1 if ne[0] else 0
+    for c1 in range(lo1, n + 1):
+        lo2 = c1 + 1 if ne[1] else c1
+        hi2 = n - (1 if ne[2] else 0)
+        for c2 in range(lo2, hi2 + 1):
+            yield seq[:c1], seq[c1:c2], seq[c2:]
+
+
+def _ref_fl(I, J, fa, K, L, fb):
+    a1, a2, a3, a4 = fa
+    b1, b2 = fb
+    if b1 == a2:
+        for j1, j2 in _splits2(J):
+            if j1 == K:
+                yield KIND_F, I, L + j2, (a1, b2, a3, a4)
+
+
+def _ref_fs(I, J, fa, K, L, fb):
+    for j1, j2, j3 in _splits3(J, ne=(False, True, False)):
+        if j2 == K:
+            yield KIND_F, I, j1 + L + j3, fa
+
+
+def _ref_ll(I, J, fa, K, L, fb):
+    a1, a2 = fa
+    b1, b2 = fb
+    if b1 != a2:
+        return
+    if K == J:
+        yield KIND_L, I, L, (a1, b2)
+    for j1, j2 in _splits2(J, ne2=True):
+        if j1 == K:
+            yield KIND_L, I, L + j2, (a1, b2)
+    for k1, k2 in _splits2(K, ne2=True):
+        if k1 == J:
+            yield KIND_L, I + k2, L, (a1, b2)
+
+
+def _ref_lr(I, J, fa, K, L, fb):
+    for j1, j2 in _splits2(J):
+        for k1, k2 in _splits2(K):
+            if k1 == j2:
+                yield KIND_F, I + k2, j1 + L, fa + fb
+
+
+def _ref_ls(I, J, fa, K, L, fb):
+    if J == K:
+        yield KIND_L, I, L, fa
+    for k1, k2 in _splits2(K, ne1=True, ne2=True):
+        if k1 == J:
+            yield KIND_L, I + k2, L, fa
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        if j2 == K:
+            yield KIND_L, I, j1 + L, fa
+        if j1 == K:
+            yield KIND_L, I, L + j2, fa
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        for k1, k2 in _splits2(K, ne1=True, ne2=True):
+            if k1 == j2:
+                yield KIND_L, I + k2, j1 + L, fa
+    for j1, j2, j3 in _splits3(J):
+        if j2 == K:
+            yield KIND_L, I, j1 + L + j3, fa
+
+
+def _ref_ss(I, J, fa, K, L, fb):
+    if K == J:
+        yield KIND_S, I, L, ()
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        if K == j2:
+            yield KIND_S, I, j1 + L, ()
+        if K == j1:
+            yield KIND_S, I, L + j2, ()
+    for k1, k2 in _splits2(K, ne1=True, ne2=True):
+        if k1 == J:
+            yield KIND_S, I + k2, L, ()
+        if k2 == J:
+            yield KIND_S, k1 + I, L, ()
+    for j1, j2 in _splits2(J, ne1=True, ne2=True):
+        for k1, k2 in _splits2(K, ne1=True, ne2=True):
+            if k1 == j2:
+                yield KIND_S, I + k2, j1 + L, ()
+            if k2 == j1:
+                yield KIND_S, k1 + I, L + j2, ()
+    for j1, j2, j3 in _splits3(J):
+        if K == j2:
+            yield KIND_S, I, j1 + L + j3, ()
+    for k1, k2, k3 in _splits3(K):
+        if k2 == J:
+            yield KIND_S, k1 + I + k3, L, ()
+
+
+# The slow path that the field-tuple rows replace, on the reference halves:
+# every term of a half is wrapped in a Generator, omega_gen and mirror_gen act
+# on whole generators, and the +1/-1 terms are summed by Combination.from_items.
 _REFERENCE_ROWS = {  # (a.kind, b.kind): (half, row derived through mirror_gen)
     (KIND_F, KIND_F): (_ff, False),
-    (KIND_F, KIND_L): (_fl, False),
-    (KIND_F, KIND_R): (_fl, True),
-    (KIND_F, KIND_S): (_fs, False),
-    (KIND_L, KIND_L): (_ll, False),
-    (KIND_L, KIND_R): (_lr, False),
-    (KIND_L, KIND_S): (_ls, False),
-    (KIND_R, KIND_R): (_ll, True),
-    (KIND_R, KIND_S): (_ls, True),
-    (KIND_S, KIND_S): (_ss, False),
+    (KIND_F, KIND_L): (_ref_fl, False),
+    (KIND_F, KIND_R): (_ref_fl, True),
+    (KIND_F, KIND_S): (_ref_fs, False),
+    (KIND_L, KIND_L): (_ref_ll, False),
+    (KIND_L, KIND_R): (_ref_lr, False),
+    (KIND_L, KIND_S): (_ref_ls, False),
+    (KIND_R, KIND_R): (_ref_ll, True),
+    (KIND_R, KIND_S): (_ref_ls, True),
+    (KIND_S, KIND_S): (_ref_ss, False),
 }
 
 
@@ -377,6 +490,50 @@ def _reference_bracket(ea, eb, params):
         t for x, c1 in ea for y, c2 in eb
         for t in _reference_bracket_gen(x, y, params).scaled(c1 * c2)
     ))
+
+
+# (offset-rule half, reference half, flavor count of a, of b, whether a's and
+# b's words may be empty): f and l words may be empty, s words may not
+_HALF_PAIRS = {
+    "fl": (_fl, _ref_fl, 4, 2, True, True),
+    "fs": (_fs, _ref_fs, 4, 0, True, False),
+    "ll": (_ll, _ref_ll, 2, 2, True, True),
+    "lr": (_lr, _ref_lr, 2, 2, True, True),
+    "ls": (_ls, _ref_ls, 2, 0, True, False),
+    "ss": (_ss, _ref_ss, 0, 0, False, False),
+}
+_PERIODIC_WORDS = ((1,), (1, 1), (1, 2, 1), (1, 1, 1, 1), (1, 2, 1, 2, 1), (2, 1, 2, 1, 2, 1))
+
+
+@pytest.mark.parametrize("name", list(_HALF_PAIRS))
+def test_offset_halves_match_the_split_enumeration(name):
+    # as Counters of field tuples, so a repeated term cannot hide behind a
+    # cancellation in the row
+    half, ref, n_fa, n_fb, a_empty, b_empty = _HALF_PAIRS[name]
+    rng = random.Random(name)
+
+    def word(may_be_empty):
+        return tuple(rng.choice((1, 2)) for _ in range(rng.randint(0 if may_be_empty else 1, 6)))
+
+    def flavors(n):
+        return tuple(rng.choice((1, 2)) for _ in range(n))
+
+    cases = [
+        (word(a_empty), J, flavors(n_fa), K, word(b_empty), flavors(n_fb))
+        for J in _PERIODIC_WORDS + ((),) * a_empty
+        for K in _PERIODIC_WORDS + ((),) * b_empty
+    ]
+    cases += [
+        (word(a_empty), word(a_empty), flavors(n_fa), word(b_empty), word(b_empty), flavors(n_fb))
+        for _ in range(1500)
+    ]
+    terms = multiple = 0
+    for fields in cases:
+        got = Counter(half(*fields))
+        assert got == Counter(ref(*fields)), fields
+        terms += sum(got.values())
+        multiple += len(got) > 1
+    assert terms > 150 and (multiple > 20 or name in ("fl", "ll"))
 
 
 @pytest.mark.parametrize(

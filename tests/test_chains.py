@@ -1,5 +1,6 @@
 """Defining representation, tensor powers, symmetrizers, action oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,7 +29,13 @@ from chainalg import (
 )
 from chainalg.basis import enumerate_generators, in_b4
 from chainalg.bracket import TriangularClass, classify, sigma_left_expansion, sigma_right_expansion
-from chainalg.chains import _act_gen_chain, all_chains, young_scalar
+from chainalg.chains import (
+    TensorState,
+    _act_gen_chain,
+    all_chains,
+    check_partition,
+    young_scalar,
+)
 from chainalg.checks import _gg_left, random_element, random_generator, suite_identities
 
 P11 = AlgebraParams(1, 1)
@@ -115,6 +122,114 @@ def test_young_projector_scalar_and_invariance():
         moved = act_tensor(e, proj)
         # the image of the projector is an invariant subspace
         assert young_project(moved, gamma) == moved.scaled(m)
+
+
+# The group-enumeration projector that the block-wise _symmetrize replaces,
+# kept as the reference: every permutation of the row (column) group at once.
+def _permute_tuple(tup, perm):
+    # perm maps destination slot -> source slot
+    return tuple(tup[perm[i]] for i in range(len(tup)))
+
+
+def _perm_sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _group_permutations(blocks, d):
+    """All slot permutations preserving each block (as dest -> source maps)."""
+    perms = [list(range(d))]
+    for block in blocks:
+        new = []
+        for base in perms:
+            for img in itertools.permutations(block):
+                p = list(base)
+                for pos, src in zip(block, img):
+                    p[pos] = base[src]
+                new.append(p)
+        perms = new
+    return [tuple(p) for p in perms]
+
+
+def canonical_tableau(gamma) -> list:
+    """Row-major filling of the partition diagram with slots 0..d-1."""
+    rows, k = [], 0
+    for part in gamma:
+        rows.append(list(range(k, k + part)))
+        k += part
+    return rows
+
+
+def _reference_young_project(psi: TensorState, gamma) -> TensorState:
+    """Row-symmetrize then column-antisymmetrize tensor slots (unnormalized)."""
+    gamma = check_partition(gamma)
+    d = sum(gamma)
+    arities = {len(k) for k in psi.keys()}
+    if arities and arities != {d}:
+        raise ValueError(f"partition size {d} does not match tensor arity")
+    rows = canonical_tableau(gamma)
+    cols = []
+    for j in range(gamma[0] if gamma else 0):
+        col = [row[j] for row in rows if j < len(row)]
+        cols.append(col)
+    row_perms = _group_permutations(rows, d)
+    col_perms = _group_permutations(cols, d)
+
+    sym_items = []
+    for tup, c in psi:
+        for p in row_perms:
+            sym_items.append((_permute_tuple(tup, p), c))
+    sym = Combination.from_items(psi.params, sym_items)
+
+    out_items = []
+    for tup, c in sym:
+        for p in col_perms:
+            out_items.append((_permute_tuple(tup, p), c * _perm_sign(p)))
+    return Combination.from_items(psi.params, out_items)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("params", [P11, P22], ids=["1-1", "2-2"])
+def test_young_project_matches_the_group_enumeration(params):
+    # every partition of size <= 5: random Fraction tensors over a few chains
+    # (so slots repeat), tensors of one repeated chain, and the zero state
+    rng = random.Random(params.colors * 10 + params.flavors)
+    pool = list(all_chains(params, 1))[:3]
+    nonzero = 0
+    for d in range(6):
+        for gamma in _partitions(d):
+            states = [Combination.zero(params), tensor_state(params, (pool[-1],) * d)]
+            states += [
+                Combination.from_items(params, [
+                    (tuple(rng.choice(pool) for _ in range(d)),
+                     Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 2**61 - 1))))
+                    for _ in range(rng.randint(1, 4))
+                ])
+                for _ in range(4)
+            ]
+            for psi in states:
+                got = young_project(psi, gamma)
+                assert got == _reference_young_project(psi, gamma), (gamma, psi)
+                nonzero += bool(got)
+    assert nonzero > 30
 
 
 def test_inner_chain_examples():
