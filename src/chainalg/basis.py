@@ -7,34 +7,32 @@ b4 (module construction): every whole-chain operator, end and interior
 operators restricted by first/last-index conditions, plus the extended
 interior operators.
 
-Rewriting a generator into either basis uses finite substitution
-identities that leave the action on every chain unchanged, applied
-recursively.  Rewriting into b0 needs two rules, l(1,1) and a whole-chain
-operator with right flavor pair (1,1); the rewrite is unique because b0
-is a basis, so chaining them reproduces any one-shot expansion.
-
-Basis b0 is invariant under chain reversal (mirror_gen), so its
-right-end substitutions are the mirror images of the left-end ones.
-Rewriting into b4 needs one block rule: a left-end or interior operator
-whose sequences both end in 1 loses the whole shared trailing 1-block in
-one step.  Both sequences starting with 1 (a right-end operator with two
-nonempty sequences, or an interior one whose sequences do not both end
-in 1) is the mirror image of that case.  Basis b4 breaks mirror
-invariance only at right-end operators with flavor pair (1,1) and an
-empty sequence: it keeps every left-end operator with an empty sequence
-but drops r(1,1)[|], r(1,1)[1...|] and r(1,1)[|1...].  The first two
-rules are written out; the deleter rule r(1,1)[|1...] is the omega image
-of the inserter rule r(1,1)[1...|], because both bases are invariant
-under the anti-involution omega, which swaps upper and lower data.  The
-b4 recursion depth is bounded by the total index size plus two.  Only
-to_b4_gen is memoised, as its sub-generators repeat across Gram words; a b0
-step yields terms in b0 or one step from it, so to_b0_gen needs no memo.
+Every substitution rule is a signed sum of one identity: an operator
+whose window is open at one end (the right end of l and s, the left end
+of r and s) acts on every chain as the sum of its padding there, its
+copies one letter longer at that end plus the operators closing that
+end.  So whole - sum(padding(whole)) acts as zero, and a step adds to g
+such identities, chosen so that g cancels:
+  b0  l(1,1)[I|J]              left padding of s[I|J]
+  b0  f(a,b;1,1)[I|J]          right padding of l(a,b)[I|J]
+  b4  l or s, [I'1^n|J'1^n]    right paddings of op(I'1^p|J'1^p), p < n
+  b4  r(1,1)[I|], I = () or 1...  right padding of s[I|] less the left
+                                  padding of s[rotate(I)|]
+The 1-block paddings telescope, so the whole block goes in one step.
+Every other generator outside a basis is the chain-reversal (mirror_gen)
+or omega image (upper and lower data swapped) of one of these: both
+bases are omega-invariant, and b4 breaks mirror invariance only at
+r(1,1)[|], r(1,1)[1...|] and r(1,1)[|1...], the omega image of the
+second.  The b0 rewrite is unique because b0 is a basis; the b4
+recursion depth is at most the total index size plus two.  Only
+to_b4_gen is memoised, as its sub-generators repeat across Gram words; a
+b0 step yields terms in b0 or one step from it, so to_b0_gen needs no memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .chains import _act_gen_chain, all_chains
 from .core import (
@@ -88,27 +86,45 @@ def in_b4(g: Generator) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rewriting into b0: recursive substitution
+# the padding identity, and rewriting into b0
+
+def padding(g: Generator, params: AlgebraParams, right: bool = True) -> list:
+    """The generators whose sum acts as g, padded at its right (or left) end.
+
+    At the right end of l(a,b) or s: g[Ij|Jj] for every color j, then for
+    every flavor m the operator closing that end, f(a,b;m,m) or r(m,m).
+    At the left end of r(a,b) or s: g[jI|jJ], then f(m,m;a,b) or l(m,m).
+    """
+    kind, up, lo, fl = g.kind, g.upper, g.lower, g.flavors
+    if kind == KIND_F or kind == (KIND_R if right else KIND_L):
+        raise ValueError(f"{g!r} has no open {'right' if right else 'left'} end")
+    if right:
+        gens = [Generator(kind, up + (j,), lo + (j,), fl) for j in params.color_range()]
+    else:
+        gens = [Generator(kind, (j,) + up, (j,) + lo, fl) for j in params.color_range()]
+    for m in params.flavor_range():
+        if kind == KIND_S:
+            gens.append(Generator(KIND_R if right else KIND_L, up, lo, (m, m)))
+        else:
+            gens.append(Generator(KIND_F, up, lo, fl + (m, m) if right else (m, m) + fl))
+    return gens
+
+
+def _vanishing(whole: Generator, params: AlgebraParams, right=True, sign=1) -> list:
+    """sign * (whole - sum of its padding) as items; it acts as zero on every chain."""
+    return [(whole, sign)] + [(h, -sign) for h in padding(whole, params, right)]
+
 
 def _b0_step(g: Generator, params: AlgebraParams) -> Element:
     """One substitution step for a generator outside b0."""
     if g.kind == KIND_R or (g.kind == KIND_F and g.flavors[2:] != (1, 1)):
         # (1,1) pair at the right end only: mirror image of the left-end case
         return mirror(_b0_step(mirror_gen(g), params))
-    up, lo = g.upper, g.lower
-    colors, flavors = params.color_range(), params.flavor_range()
-    if g.kind == KIND_L:
-        # left-end operator with flavor pair (1,1)
-        items = [(gen_s(up, lo), 1)]
-        items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
-        items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
-    else:
-        # whole-chain operator with right flavor pair (1,1)
-        l1, l2 = g.flavors[:2]
-        items = [(gen_l(l1, l2, up, lo), 1)]
-        items += [(gen_l(l1, l2, up + (j,), lo + (j,)), -1) for j in colors]
-        items += [(gen_f(l1, l2, m, m, up, lo), -1) for m in flavors if m >= 2]
-    return Combination.from_items(params, items)
+    if g.kind == KIND_L:  # l(1,1)[I|J] closes the left padding of s[I|J]
+        whole, right = gen_s(g.upper, g.lower), False
+    else:  # f(a,b;1,1)[I|J] closes the right padding of l(a,b)[I|J]
+        whole, right = gen_l(*g.flavors[:2], g.upper, g.lower), True
+    return Combination.from_items(params, [(g, 1)] + _vanishing(whole, params, right))
 
 
 def to_b0_gen(g: Generator, params: AlgebraParams) -> Element:
@@ -142,35 +158,19 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
         # both sequences start with 1 (an interior operator strips trailing
         # 1s first): mirror image of the trailing-block rule
         return mirror(_b4_step(mirror_gen(g), params))
-    colors, flavors = params.color_range(), params.flavor_range()
-    if g.kind == KIND_R and not up:
-        # diagonal end operator with unit flavors
-        items = [(gen_l(m, m, (), ()), 1) for m in flavors]
-        items += [(gen_r(m, m, (), ()), -1) for m in flavors if m >= 2]
-    elif g.kind == KIND_R:
-        # upper sequence starts with 1, unit flavors
-        core = up[1:]
-        items = [(gen_s((1,) + core, ()), 1), (gen_s(core + (1,), ()), -1)]
-        items += [(gen_s((i,) + core + (1,), (i,)), 1) for i in colors if i >= 2]
-        items += [(gen_s((1,) + core + (j,), (j,)), -1) for j in colors if j >= 2]
-        items += [(gen_l(m, m, core + (1,), ()), 1) for m in flavors]
-        items += [(gen_r(m, m, (1,) + core, ()), -1) for m in flavors if m >= 2]
+    items = [(g, 1)]
+    if g.kind == KIND_R:
+        # r(1,1)[I|], I empty or starting with 1: the terms the two paddings
+        # share cancel
+        items += _vanishing(gen_s(up, ()), params)
+        items += _vanishing(gen_s(up[1:] + up[:1], ()), params, right=False, sign=-1)
     else:
-        # left-end or interior operator, both sequences end in 1: strip the
-        # shared trailing 1-block at once; the chains whose body ends right
-        # after the stripped prefix are caught by f (left end) or r (interior)
-        if g.kind == KIND_L:
-            l1, l2 = g.flavors
-            op, cap = partial(gen_l, l1, l2), lambda m, u, v: gen_f(l1, l2, m, m, u, v)
-        else:
-            op, cap = gen_s, lambda m, u, v: gen_r(m, m, u, v)
+        # left-end or interior operator, both sequences end in 1: the right
+        # paddings of the copies short of 1^k, k <= n, telescope, so the
+        # shared 1-block goes in one step
         n = min(run_length(up, 1, True), run_length(lo, 1, True))
-        bu, bl = up[:-n], lo[:-n]
-        items = [(op(bu, bl), 1)]
-        for p in range(n):
-            u, v = bu + (1,) * p, bl + (1,) * p
-            items += [(op(u + (j,), v + (j,)), -1) for j in colors if j >= 2]
-            items += [(cap(m, u, v), -1) for m in flavors]
+        for k in range(n, 0, -1):
+            items += _vanishing(Generator(g.kind, up[:-k], lo[:-k], g.flavors), params)
     return Combination.from_items(params, items)
 
 

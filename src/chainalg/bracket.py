@@ -15,24 +15,23 @@ the whole body, so each half allows only the offsets its two kinds fit:
   s-s  1-|K| <= d < |J|             any nonempty overlap
 where (*) marks the halves whose overlap may be empty.
 Brackets touching an extended interior operator (an empty sequence on a
-kind-s generator) first replace it by the equivalent combination of
-one-step-longer interior operators plus left-end operators, which acts
-identically on every chain.
+kind-s generator) first replace it by its left padding (basis.padding):
+the interior operators one letter longer at the left plus the left-end
+operators, whose sum acts as it does on every chain.
 
 Only the left-end rows are written out, each only in half.  Chain
 reversal induces the automorphism mirror_gen of the algebra (sequences
-reversed, l and r swapped), so each right-end row, and the right-end
-expansion of an interior operator, is the mirror image of its left-end
-twin.  The anti-involution omega (upper and lower data swapped) is an
-anti-automorphism, [omega b, omega a] = omega [a, b], so each row writes
-only the half where a's lower data meets b's upper data; the other half
-is the omega image of that half, with the sign flipped.
+reversed, l and r swapped), so each right-end row is the mirror image of
+its left-end twin.  The anti-involution omega (upper and lower data
+swapped) is an anti-automorphism, [omega b, omega a] = omega [a, b], so
+each row writes only the half where a's lower data meets b's upper data;
+the other half is the omega image of that half, with the sign flipped.
 
 Rows are computed on field tuples (kind, upper, lower, flavors) with integer
 multiplicities, omega and mirror acting through core.omega_fields/mirror_fields;
 each term that survives cancellation is built once, as one Generator.  Every
 row has integer coefficients: the halves yield +1 and -1, and the row of an
-extended interior operator is the sum of the integer rows of its expansion
+extended interior operator is the sum of the integer rows of its padding
 generators.  The bilinear bracket sums integer numerators over one common
 denominator and builds one Fraction per output generator.
 
@@ -50,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .basis import to_b0
+from .basis import padding, to_b0
 from .core import (
     KIND_F,
     KIND_L,
@@ -62,12 +61,8 @@ from .core import (
     Generator,
     flavor_words,
     gen_f,
-    gen_l,
-    gen_s,
     grade,
-    mirror,
     mirror_fields,
-    mirror_gen,
     omega_fields,
 )
 
@@ -76,24 +71,17 @@ def is_extended_sigma(g: Generator) -> bool:
     return g.kind == KIND_S and (not g.upper or not g.lower)
 
 
-def _sigma_left_gens(g: Generator, params: AlgebraParams) -> list:
-    """The generators of sigma_left_expansion(g), each with coefficient 1."""
-    gens = [gen_s((i,) + g.upper, (i,) + g.lower) for i in params.color_range()]
-    return gens + [gen_l(m, m, g.upper, g.lower) for m in params.flavor_range()]
-
-
 def sigma_left_expansion(g: Generator, params: AlgebraParams) -> Element:
-    """s[I|J] as interior operators one step longer plus left-end operators.
-
-    Acts identically on every chain; applicable to any index sequences,
-    in particular the extended ones.
+    """s[I|J] as its left padding: interior operators one step longer plus
+    left-end operators.  Acts identically on every chain; applicable to any
+    index sequences, in particular the extended ones.
     """
-    return Combination.from_items(params, ((h, 1) for h in _sigma_left_gens(g, params)))
+    return Combination.from_items(params, ((h, 1) for h in padding(g, params, False)))
 
 
 def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
-    """Mirror expansion through the right end."""
-    return mirror(sigma_left_expansion(mirror_gen(g), params))
+    """s[I|J] as its right padding, through the right end."""
+    return Combination.from_items(params, ((h, 1) for h in padding(g, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +186,9 @@ _TABLE = {
 def bracket_gen(a: Generator, b: Generator, params: AlgebraParams) -> Element:
     """Bracket of two generators as an exact Element, with integer coefficients."""
     if is_extended_sigma(a):
-        rows = [bracket_gen(h, b, params) for h in _sigma_left_gens(a, params)]
+        rows = [bracket_gen(h, b, params) for h in padding(a, params, False)]
     elif is_extended_sigma(b):
-        rows = [bracket_gen(a, h, params) for h in _sigma_left_gens(b, params)]
+        rows = [bracket_gen(a, h, params) for h in padding(b, params, False)]
     elif (a.kind, b.kind) in _TABLE:
         acc = {}
         ta, tb = (a.kind, a.upper, a.lower, a.flavors), (b.kind, b.upper, b.lower, b.flavors)

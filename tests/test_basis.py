@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -20,14 +21,32 @@ from chainalg import (
     to_b4,
 )
 from chainalg.basis import (
+    _b0_step,
+    _b4_step,
     b4_rewrite_depth,
     enumerate_generators,
+    padding,
     to_b0_gen,
     to_b4_gen,
 )
 from chainalg.bracket import sigma_left_expansion, sigma_right_expansion
 from chainalg.checks import random_element, random_generator
-from chainalg.core import Combination, render_element
+from chainalg.core import (
+    KIND_F,
+    KIND_L,
+    KIND_R,
+    KIND_S,
+    Combination,
+    Element,
+    Generator,
+    all_seqs,
+    mirror,
+    mirror_gen,
+    omega,
+    omega_gen,
+    render_element,
+    run_length,
+)
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
@@ -253,3 +272,131 @@ def test_b4_rewrites_golden_beyond_size3():
     assert len(lines) == 5178
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9cfe009ce9a9a8e786f06324bdd0a6a9add920af7d1ab1a9f6c02fcbf40aca70"
+
+
+def test_padding_rejects_a_closed_end():
+    # f is closed at both ends, l at the left and r at the right; the padding
+    # of a closed end would be a wrong identity, not an empty one
+    for g, right in (
+        (gen_f(1, 1, 1, 1, (1,), (1,)), True),
+        (gen_f(1, 2, 2, 1, (), ()), False),
+        (gen_l(1, 1, (1,), ()), False),
+        (gen_r(2, 1, (), (2,)), True),
+    ):
+        with pytest.raises(ValueError, match="no open"):
+            padding(g, P22, right)
+
+
+def _open_ends(g):
+    return [right for right, kind in ((True, KIND_L), (False, KIND_R)) if g.kind in (kind, KIND_S)]
+
+
+@pytest.mark.parametrize(
+    "params", [P11, P21, AlgebraParams(1, 2), P22], ids=lambda p: f"{p.colors},{p.flavors}"
+)
+def test_padding_acts_as_the_generator(params):
+    # checked against the chain action itself, not against another rewrite
+    checked = 0
+    for g in enumerate_generators(params, 3):
+        for right in _open_ends(g):
+            pad = Combination.from_items(params, ((h, 1) for h in padding(g, params, right)))
+            assert len(pad) == params.colors + params.flavors
+            assert equal_on_chains(element(params, g), pad, 5), (g, right)
+            checked += 1
+    assert checked
+
+
+# _b0_step and _b4_step as each rule was written out term by term before the
+# rules became signed sums of the padding identity: the reference the steps
+# are compared with, exactly
+
+def _ref_b0_step(g: Generator, params: AlgebraParams) -> Element:
+    """One substitution step for a generator outside b0."""
+    if g.kind == KIND_R or (g.kind == KIND_F and g.flavors[2:] != (1, 1)):
+        # (1,1) pair at the right end only: mirror image of the left-end case
+        return mirror(_ref_b0_step(mirror_gen(g), params))
+    up, lo = g.upper, g.lower
+    colors, flavors = params.color_range(), params.flavor_range()
+    if g.kind == KIND_L:
+        # left-end operator with flavor pair (1,1)
+        items = [(gen_s(up, lo), 1)]
+        items += [(gen_s((i,) + up, (i,) + lo), -1) for i in colors]
+        items += [(gen_l(m, m, up, lo), -1) for m in flavors if m >= 2]
+    else:
+        # whole-chain operator with right flavor pair (1,1)
+        l1, l2 = g.flavors[:2]
+        items = [(gen_l(l1, l2, up, lo), 1)]
+        items += [(gen_l(l1, l2, up + (j,), lo + (j,)), -1) for j in colors]
+        items += [(gen_f(l1, l2, m, m, up, lo), -1) for m in flavors if m >= 2]
+    return Combination.from_items(params, items)
+
+
+def _ref_b4_step(g: Generator, params: AlgebraParams) -> Element:
+    """One substitution step for a generator outside b4."""
+    up, lo = g.upper, g.lower
+    if g.kind == KIND_R and lo and not up:
+        # deleter with unit flavors: omega image of the inserter rule
+        return omega(_ref_b4_step(omega_gen(g), params))
+    if (g.kind == KIND_R and up and lo) or (g.kind == KIND_S and not (up[-1] == lo[-1] == 1)):
+        # both sequences start with 1 (an interior operator strips trailing
+        # 1s first): mirror image of the trailing-block rule
+        return mirror(_ref_b4_step(mirror_gen(g), params))
+    colors, flavors = params.color_range(), params.flavor_range()
+    if g.kind == KIND_R and not up:
+        # diagonal end operator with unit flavors
+        items = [(gen_l(m, m, (), ()), 1) for m in flavors]
+        items += [(gen_r(m, m, (), ()), -1) for m in flavors if m >= 2]
+    elif g.kind == KIND_R:
+        # upper sequence starts with 1, unit flavors
+        core = up[1:]
+        items = [(gen_s((1,) + core, ()), 1), (gen_s(core + (1,), ()), -1)]
+        items += [(gen_s((i,) + core + (1,), (i,)), 1) for i in colors if i >= 2]
+        items += [(gen_s((1,) + core + (j,), (j,)), -1) for j in colors if j >= 2]
+        items += [(gen_l(m, m, core + (1,), ()), 1) for m in flavors]
+        items += [(gen_r(m, m, (1,) + core, ()), -1) for m in flavors if m >= 2]
+    else:
+        # left-end or interior operator, both sequences end in 1: strip the
+        # shared trailing 1-block at once; the chains whose body ends right
+        # after the stripped prefix are caught by f (left end) or r (interior)
+        if g.kind == KIND_L:
+            l1, l2 = g.flavors
+            op, cap = partial(gen_l, l1, l2), lambda m, u, v: gen_f(l1, l2, m, m, u, v)
+        else:
+            op, cap = gen_s, lambda m, u, v: gen_r(m, m, u, v)
+        n = min(run_length(up, 1, True), run_length(lo, 1, True))
+        bu, bl = up[:-n], lo[:-n]
+        items = [(op(bu, bl), 1)]
+        for p in range(n):
+            u, v = bu + (1,) * p, bl + (1,) * p
+            items += [(op(u + (j,), v + (j,)), -1) for j in colors if j >= 2]
+            items += [(cap(m, u, v), -1) for m in flavors]
+    return Combination.from_items(params, items)
+
+
+
+def _one_block_generators(params, max_block):
+    """l and s operators whose sequences end in a shared 1-block of length <= max_block."""
+    for n in range(1, max_block + 1):
+        for bu in all_seqs(params, 1):
+            for bl in all_seqs(params, 1):
+                up, lo = bu + (1,) * n, bl + (1,) * n
+                yield gen_s(up, lo)
+                for l1 in params.flavor_range():
+                    for l2 in params.flavor_range():
+                        yield gen_l(l1, l2, up, lo)
+
+
+def test_steps_match_the_written_out_rules():
+    sets = [(P22, enumerate_generators(P22, 4))]
+    sets += [(p, enumerate_generators(p, 5)) for p in (AlgebraParams(1, 2), P21)]
+    sets += [(P11, enumerate_generators(P11, 7)), (P22, _one_block_generators(P22, 12))]
+    counts = [0, 0]
+    for params, gens in sets:
+        for g in gens:
+            if not in_b0(g):
+                assert _b0_step(g, params) == _ref_b0_step(g, params), g
+                counts[0] += 1
+            if not in_b4(g):
+                assert _b4_step(g, params) == _ref_b4_step(g, params), g
+                counts[1] += 1
+    assert min(counts) > 1000
