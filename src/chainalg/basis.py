@@ -130,19 +130,12 @@ def _b0_step(g: Generator, params: AlgebraParams) -> Element:
 def to_b0_gen(g: Generator, params: AlgebraParams) -> Element:
     if in_b0(g):
         return Combination.term(params, g)
-    return to_b0(_b0_step(g, params), params)
+    return to_b0(_b0_step(g, params))
 
 
-def _check_params(e: Element, params: AlgebraParams | None) -> AlgebraParams:
-    if params is not None and params != e.params:
-        raise ValueError("algebra parameter mismatch between element and basis rewrite")
-    return e.params
-
-
-def to_b0(e: Element, params: AlgebraParams | None = None) -> Element:
+def to_b0(e: Element) -> Element:
     """Rewrite into basis b0; equals the input as an open-string-algebra element."""
-    params = _check_params(e, params)
-    return e.map(lambda g: to_b0_gen(g, params))
+    return e.map(lambda g: to_b0_gen(g, e.params))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +181,9 @@ def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
     return 1 + max((b4_rewrite_depth(h, params) for h in _b4_step(g, params).keys()), default=0)
 
 
-def to_b4(e: Element, params: AlgebraParams | None = None) -> Element:
+def to_b4(e: Element) -> Element:
     """Rewrite into basis b4; equals the input as an open-string-algebra element."""
-    params = _check_params(e, params)
-    return e.map(lambda g: to_b4_gen(g, params))
+    return e.map(lambda g: to_b4_gen(g, e.params))
 
 
 # ---------------------------------------------------------------------------

@@ -285,4 +285,4 @@ def cartan_commutes(g1: Generator, g2: Generator, params: AlgebraParams) -> bool
     for g in (g1, g2):
         if classify(g) is not TriangularClass.DIAGONAL:
             raise ValueError(f"{g!r} is not diagonal")
-    return to_b0(bracket_gen(g1, g2, params), params).is_zero()
+    return to_b0(bracket_gen(g1, g2, params)).is_zero()

@@ -1,8 +1,9 @@
 """Verification suites shared by the CLI check command and the test suite.
 
-The identity suite derives two of its three whole-chain sums.  The
-right-end sum is the chain-reversal image (mirror) of the left-end sum
-built for the reversed sequences, and the interior sum is
+Each suite checks the one AlgebraParams it is given, at the fixed sizes its
+docstring names.  The identity suite derives two of its three whole-chain
+sums.  The right-end sum is the chain-reversal image (mirror) of the
+left-end sum built for the reversed sequences, and the interior sum is
 verma.truncated_interior_element, which must act as zero.
 """
 
@@ -68,32 +69,21 @@ def random_element(
     return Combination.from_items(params, items)
 
 
-def _param_cycle():
-    return (
-        AlgebraParams(1, 1),
-        AlgebraParams(2, 1),
-        AlgebraParams(1, 2),
-        AlgebraParams(2, 2),
-    )
-
-
 # ---------------------------------------------------------------------------
 
-def suite_jacobi(params=None, seed=0, cases=200, max_len=4, max_seq=2):
-    """Antisymmetry and the Jacobi identity in canonical form, random triples."""
+def suite_jacobi(params, seed=0, cases=200, max_len=4):
+    """Antisymmetry and the Jacobi identity in canonical form, random triples (sequences <= 2)."""
     del max_len
     if cases < 1:
         raise ValueError(f"--cases must be at least 1 for the jacobi suite, got {cases}")
     rng = random.Random(seed)
-    param_list = (params,) if params else _param_cycle()
     failures = 0
-    for n in range(cases):
-        p = param_list[n % len(param_list)]
-        a = Combination.term(p, random_generator(rng, p, max_seq))
-        b = Combination.term(p, random_generator(rng, p, max_seq))
-        c = Combination.term(p, random_generator(rng, p, max_seq))
+    for _ in range(cases):
+        a = Combination.term(params, random_generator(rng, params))
+        b = Combination.term(params, random_generator(rng, params))
+        c = Combination.term(params, random_generator(rng, params))
         ab = bracket(a, b)
-        if not to_b0(ab + bracket(b, a), p).is_zero():
+        if not to_b0(ab + bracket(b, a)).is_zero():
             failures += 1
             continue
         jac = (
@@ -101,49 +91,42 @@ def suite_jacobi(params=None, seed=0, cases=200, max_len=4, max_seq=2):
             + bracket(bracket(b, c), a)
             + bracket(bracket(c, a), b)
         )
-        if not to_b0(jac, p).is_zero():
+        if not to_b0(jac).is_zero():
             failures += 1
-    ok = failures == 0
-    return ok, [f"jacobi: {cases - failures}/{cases} random triples pass"]
+    return failures == 0, [f"jacobi: {cases - failures}/{cases} random triples pass"]
 
 
-def suite_identities(params=None, seed=0, cases=0, max_len=5, max_total=3):
-    """Interior-operator expansions and whole-chain sum identities on chains."""
+def suite_identities(params, seed=0, cases=0, max_len=5):
+    """Interior-operator expansions and whole-chain sum identities, index pairs of size <= 3."""
     del seed, cases
-    param_list = (params,) if params else (AlgebraParams(1, 1), AlgebraParams(2, 2))
-    lines = []
-    ok = True
-    for p in param_list:
-        checked = 0
-        bad = 0
-        for up in all_seqs(p, max_total):
-            for lo in all_seqs(p, max_total - len(up)):
-                sig = Combination.term(p, gen_s(up, lo))
-                for expansion in (
-                    sigma_left_expansion(gen_s(up, lo), p),
-                    sigma_right_expansion(gen_s(up, lo), p),
-                ):
-                    checked += 1
-                    if not equal_on_chains(sig, expansion, max_len):
-                        bad += 1
-                for l1 in p.flavor_range():
-                    for l2 in p.flavor_range():
-                        checked += 2
-                        if not equal_on_chains(*_gg_left(p, l1, l2, up, lo, max_len), max_len):
-                            bad += 1
-                        lhs, rhs = _gg_left(p, l1, l2, up[::-1], lo[::-1], max_len)
-                        if not equal_on_chains(mirror(lhs), mirror(rhs), max_len):
-                            bad += 1
+    checked = 0
+    bad = 0
+    for up in all_seqs(params, 3):
+        for lo in all_seqs(params, 3 - len(up)):
+            sig = Combination.term(params, gen_s(up, lo))
+            for expansion in (
+                sigma_left_expansion(gen_s(up, lo), params),
+                sigma_right_expansion(gen_s(up, lo), params),
+            ):
                 checked += 1
-                interior = truncated_interior_element(up, lo, max_len, p)
-                if not equal_on_chains(interior, Combination.zero(p), max_len):
+                if not equal_on_chains(sig, expansion, max_len):
                     bad += 1
-        lines.append(
-            f"identities (colors={p.colors}, flavors={p.flavors}): "
-            f"{checked - bad}/{checked} pass"
-        )
-        ok = ok and bad == 0
-    return ok, lines
+            for l1 in params.flavor_range():
+                for l2 in params.flavor_range():
+                    checked += 2
+                    if not equal_on_chains(*_gg_left(params, l1, l2, up, lo, max_len), max_len):
+                        bad += 1
+                    lhs, rhs = _gg_left(params, l1, l2, up[::-1], lo[::-1], max_len)
+                    if not equal_on_chains(mirror(lhs), mirror(rhs), max_len):
+                        bad += 1
+            checked += 1
+            interior = truncated_interior_element(up, lo, max_len, params)
+            if not equal_on_chains(interior, Combination.zero(params), max_len):
+                bad += 1
+    return bad == 0, [
+        f"identities (colors={params.colors}, flavors={params.flavors}): "
+        f"{checked - bad}/{checked} pass"
+    ]
 
 
 def _gg_left(params, l1, l2, up, lo, max_len) -> tuple:
@@ -153,50 +136,46 @@ def _gg_left(params, l1, l2, up, lo, max_len) -> tuple:
     return Combination.term(params, gen_l(l1, l2, up, lo)), Combination.from_items(params, rhs)
 
 
-def suite_independence(params=None, seed=0, cases=0, max_len=0):
+def suite_independence(params, seed=0, cases=0, max_len=0):
     """Exact-rank independence of the canonical basis at desk scale."""
     del seed, cases, max_len
-    param_list = (params,) if params else (AlgebraParams(1, 1), AlgebraParams(2, 2))
     lines = []
     ok = True
-    for p in param_list:
-        for max_size, chain_len in ((1, 3), (2, 4)):
-            good = independence_check_b0(p, max_size, chain_len)
-            lines.append(
-                f"independence (colors={p.colors}, flavors={p.flavors}, "
-                f"size<={max_size}, chains<={chain_len}): {'ok' if good else 'FAIL'}"
-            )
-            ok = ok and good
+    for max_size, chain_len in ((1, 3), (2, 4)):
+        good = independence_check_b0(params, max_size, chain_len)
+        lines.append(
+            f"independence (colors={params.colors}, flavors={params.flavors}, "
+            f"size<={max_size}, chains<={chain_len}): {'ok' if good else 'FAIL'}"
+        )
+        ok = ok and good
     return ok, lines
 
 
-def suite_oracle(params=None, seed=0, cases=0, max_len=0, word_size=2):
-    """Module pairings against the symmetrized tensor model, word pairs."""
+def suite_oracle(params, seed=0, cases=0, max_len=0):
+    """Module pairings against the symmetrized tensor model, pairs of words of size <= 2."""
     del seed, cases, max_len
-    param_list = (params,) if params else (AlgebraParams(1, 1), AlgebraParams(2, 2))
+    words = pbw_words(params, 2)
     lines = []
     ok = True
-    for p in param_list:
-        words = pbw_words(p, word_size)
-        for gamma in ((1,), (2,), (1, 1)):
-            w = weight_from_partition(gamma, p)
-            v = lowest_weight_vector_concrete(gamma, p)
-            norm = inner_chain(v, v)
-            images = [_act_word(word, v, p) for word in words]
-            bad = 0
-            for i, wi in enumerate(words):
-                ei = [Combination.term(p, x) for x in wi]
-                for j in range(i, len(words)):
-                    lhs = hermitian_form(ei, [Combination.term(p, x) for x in words[j]], w)
-                    rhs = inner_chain(images[i], images[j]) / norm
-                    if lhs != rhs:
-                        bad += 1
-            total = len(words) * (len(words) + 1) // 2
-            lines.append(
-                f"oracle (colors={p.colors}, flavors={p.flavors}, gamma={gamma}): "
-                f"{total - bad}/{total} word pairs match"
-            )
-            ok = ok and bad == 0
+    for gamma in ((1,), (2,), (1, 1)):
+        w = weight_from_partition(gamma, params)
+        v = lowest_weight_vector_concrete(gamma, params)
+        norm = inner_chain(v, v)
+        images = [_act_word(word, v, params) for word in words]
+        bad = 0
+        for i, wi in enumerate(words):
+            ei = [Combination.term(params, x) for x in wi]
+            for j in range(i, len(words)):
+                lhs = hermitian_form(ei, [Combination.term(params, x) for x in words[j]], w)
+                rhs = inner_chain(images[i], images[j]) / norm
+                if lhs != rhs:
+                    bad += 1
+        total = len(words) * (len(words) + 1) // 2
+        lines.append(
+            f"oracle (colors={params.colors}, flavors={params.flavors}, gamma={gamma}): "
+            f"{total - bad}/{total} word pairs match"
+        )
+        ok = ok and bad == 0
     return ok, lines
 
 

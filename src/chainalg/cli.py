@@ -334,7 +334,7 @@ def _dispatch(args) -> int:
         params = _require_params(args)
         a = parse(args.left, params).as_element()
         b = parse(args.right, params).as_element()
-        print(render_element(to_b0(bracket(a, b), params)))
+        print(render_element(to_b0(bracket(a, b))))
         return 0
     if cmd == "act":
         params = _require_params(args)
@@ -345,7 +345,7 @@ def _dispatch(args) -> int:
     if cmd == "rewrite":
         params = _require_params(args)
         e = parse(args.expr, params).as_element()
-        out = to_b0(e, params) if args.basis == "b0" else to_b4(e, params)
+        out = to_b0(e) if args.basis == "b0" else to_b4(e)
         print(render_element(out))
         return 0
     if cmd == "classify":
@@ -393,13 +393,9 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "check":
         params = _require_params(args)
-        fn = {
-            "jacobi": checks.suite_jacobi,
-            "identities": checks.suite_identities,
-            "independence": checks.suite_independence,
-            "oracle": checks.suite_oracle,
-        }[args.suite]
-        ok, lines = fn(params, seed=args.seed, cases=args.cases, max_len=args.max_len)
+        # looked up at call time, so a rebound checks.suite_* is the one run
+        suite = getattr(checks, f"suite_{args.suite}")
+        ok, lines = suite(params, seed=args.seed, cases=args.cases, max_len=args.max_len)
         for line in lines:
             print(line)
         return 0 if ok else 1

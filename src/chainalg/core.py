@@ -446,9 +446,11 @@ def _read_number(text: str, kind=int, what="integer"):
         raise ValueError(f"not an ASCII number: {text!r}")
     if "e" in text.lower():
         raise ValueError(f"exponent notation in {text!r}")
-    digits = max(map(len, re.findall("[0-9]+", text)), default=0)
-    if digits > getattr(sys, "get_int_max_str_digits", int)() > 0:  # int()'s limit, from 3.10.7
-        raise NumberTooLongError(f"{what} of {digits} digits is too long")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s limit from 3.10.7; 0 is none
+    if 0 < limit < len(text):  # a text no longer than the limit holds no longer digit run
+        digits = max(map(len, re.findall("[0-9]+", text)), default=0)
+        if digits > limit:
+            raise NumberTooLongError(f"{what} of {digits} digits is too long")
     try:
         return kind(text)
     except ZeroDivisionError:

@@ -96,7 +96,7 @@ def insert_letter(x: Generator, word: PbwWord, w: Weight) -> VermaState:
         # x * head * rest = head * (x * rest) + [x, head] * rest
         head, rest = word[0], word[1:]
         swapped = insert_letter(x, rest, w).map(lambda u: insert_letter(head, u, w))
-        commutator = to_b4(bracket_gen(x, head, params), params)
+        commutator = to_b4(bracket_gen(x, head, params))
         out = swapped + commutator.map(lambda z: insert_letter(z, rest, w))
     w.letter_memo[key] = out
     return out

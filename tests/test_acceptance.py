@@ -68,7 +68,7 @@ def test_criterion_01_bracket_laws():
         a = element(p, random_generator(rng, p, 2))
         b = element(p, random_generator(rng, p, 2))
         c = element(p, random_generator(rng, p, 2))
-        if not to_b0(bracket(a, b) + bracket(b, a), p).is_zero():
+        if not to_b0(bracket(a, b) + bracket(b, a)).is_zero():
             ok = False
             break
         jac = (
@@ -76,7 +76,7 @@ def test_criterion_01_bracket_laws():
             + bracket(bracket(b, c), a)
             + bracket(bracket(c, a), b)
         )
-        if not to_b0(jac, p).is_zero():
+        if not to_b0(jac).is_zero():
             ok = False
             break
     _report(1, "antisymmetry and Jacobi, 200 random triples", ok)
@@ -98,7 +98,7 @@ def test_criterion_02_representation_homomorphism():
 def test_criterion_03_identity_suite():
     ok = True
     for p in ALL_PARAMS:
-        good, _lines = suite_identities(p, max_len=5, max_total=3)
+        good, _lines = suite_identities(p, max_len=5)
         ok = ok and good
     _report(3, "interior expansions and whole-chain sums on chains <= 5", ok)
 
@@ -109,12 +109,12 @@ def test_criterion_04_basis_soundness():
     for n in range(200):
         p = ALL_PARAMS[n % 4]
         e = random_element(rng, p)
-        b0 = to_b0(e, p)
-        b4 = to_b4(e, p)
+        b0 = to_b0(e)
+        b4 = to_b4(e)
         if not (equal_on_chains(e, b0, 6) and equal_on_chains(e, b4, 6)):
             ok = False
             break
-        if to_b0(b4, p) != b0:
+        if to_b0(b4) != b0:
             ok = False
             break
     # canonical-form equality decides action equality on constructed pairs
@@ -129,14 +129,14 @@ def test_criterion_04_basis_soundness():
             expansion = rng.choice((sigma_left_expansion, sigma_right_expansion))(g, p)
             e2 = e - element(p, (c, g)) + expansion.scaled(c)
         else:
-            e2 = to_b4(e, p)
-        same = to_b0(e, p) == to_b0(e2, p)
+            e2 = to_b4(e)
+        same = to_b0(e) == to_b0(e2)
         if not (same and equal_on_chains(e, e2, 6)):
             ok = False
             break
         g_extra = random_generator(rng, p, 2)
         e3 = e + element(p, g_extra)
-        if to_b0(e3, p) == to_b0(e, p) or equal_on_chains(e3, e, 6):
+        if to_b0(e3) == to_b0(e) or equal_on_chains(e3, e, 6):
             ok = False
             break
     _report(4, "basis rewrites sound, consistent, decide equality", ok)
@@ -183,7 +183,7 @@ def test_criterion_06_cartan_and_roots():
         if data is not None:
             for h, ev in data.pairs:
                 lhs = bracket(element(p, h), e)
-                if not to_b0(lhs - e.scaled(ev), p).is_zero():
+                if not to_b0(lhs - e.scaled(ev)).is_zero():
                     ok = False
     _report(6, "diagonal generators commute; root vectors characterized", ok)
 
@@ -290,11 +290,11 @@ def test_criterion_09_sl2_triples():
             continue
         done += 1
         e, h, f = sl2_triple(g.upper, g.lower, g.flavors, p)
-        if not to_b0(bracket(h, e) - e.scaled(2), p).is_zero():
+        if not to_b0(bracket(h, e) - e.scaled(2)).is_zero():
             ok = False
-        if not to_b0(bracket(h, f) + f.scaled(2), p).is_zero():
+        if not to_b0(bracket(h, f) + f.scaled(2)).is_zero():
             ok = False
-        if not to_b0(bracket(e, f) - h, p).is_zero():
+        if not to_b0(bracket(e, f) - h).is_zero():
             ok = False
         for gamma in ((1,), (2, 1)):
             w = weight_from_partition(gamma, p)

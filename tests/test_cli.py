@@ -1,5 +1,6 @@
 """Expression grammar, round trips, subcommands, exit codes."""
 
+import argparse
 import hashlib
 import os
 import pathlib
@@ -22,8 +23,9 @@ from chainalg import (
     in_b4,
 )
 from chainalg.checks import random_element
-from chainalg.cli import ExprSyntaxError, main, parse, render_chain_state
+from chainalg.cli import ExprSyntaxError, _build_argparser, main, parse, render_chain_state
 from chainalg.core import Combination, render_element
+from chainalg.weights import read_weight
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -356,6 +358,24 @@ def test_cli_overlong_integer_flag_names_its_digit_count(argv, capsys):
     assert captured.err.endswith(f"error: argument {flag}: integer of 5000 digits is too long\n")
 
 
+def test_integer_digit_limit_boundary(capsys):
+    # int() reads up to sys.get_int_max_str_digits() digits; the digit-run scan
+    # runs only on longer texts, and judges each run, not the text's length
+    limit = sys.get_int_max_str_digits()
+    n = int("7" * limit)
+    assert parse(f"{'7' * limit}*s[1|1]", P21).as_element().get(gen_s((1,), (1,))) == n
+    code = main(["classify", f"{'7' * (limit + 1)}*s[1|1]", "--lambda", "2", "--lambda-f", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"chainalg: syntax error at column 1: integer of {limit + 1} digits is too long\n"
+    )
+    # weight-file values longer than the limit in all, with no run longer than it
+    num, den = "7" * (limit // 2), "1" * (limit // 2)
+    w = read_weight(f"lambda 2\nlambda_f 1\nmode free\nalpha -{'7' * limit}\nIV [2] {num}/{den}\n")
+    assert w.alpha == -n and w.h_IV((2,)) == Fraction(int(num), int(den))
+
+
 def test_cli_missing_params_exit_code(capsys):
     code = main(["classify", "s[1|2]"])
     assert code == 2
@@ -601,6 +621,18 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     )
     assert code == 1
     assert "forced" in capsys.readouterr().out
+
+
+def test_cli_every_suite_choice_names_a_suite():
+    # check runs getattr(checks, f"suite_{name}") for each --suite choice
+    from chainalg import checks
+
+    top = _build_argparser()
+    commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+    assert suite.choices
+    for name in suite.choices:
+        assert callable(getattr(checks, f"suite_{name}", None)), name
 
 
 def test_cli_check_identities_suite(capsys):

@@ -1,5 +1,6 @@
 """Module structure of the package: imports sit at module top and form no cycle,
-and the caches are the ones listed in the README."""
+the caches are the ones listed in the README, and no function takes an optional
+second copy of the algebra parameters."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -71,3 +72,19 @@ def test_memo_inventory():
                 with_global.add(name)
     assert cached == {"bracket.bracket_gen", "basis.to_b4_gen"}
     assert with_global == {"chains"}
+
+
+def test_no_params_argument_defaults_to_none():
+    # an element carries its AlgebraParams; a second, optional copy could only disagree
+    optional = set()
+    for name, tree in _parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = zip(positional[len(positional) - len(args.defaults):], args.defaults)
+                for arg, default in [*defaults, *zip(args.kwonlyargs, args.kw_defaults)]:
+                    none = isinstance(default, ast.Constant) and default.value is None
+                    if arg.arg == "params" and none:
+                        optional.add(f"{name}.{getattr(node, 'name', '<lambda>')}")
+    assert sorted(optional) == []
