@@ -8,7 +8,6 @@ from .core import (
     IndexRangeError,
     charge,
     element,
-    gen_compare,
     gen_f,
     gen_key,
     gen_l,
@@ -19,10 +18,8 @@ from .core import (
     omega_gen,
     render_element,
     render_generator,
-    seq_compare,
 )
 from .bracket import (
-    RootData,
     TriangularClass,
     bracket,
     cartan_commutes,

@@ -174,13 +174,6 @@ def to_b4_gen(g: Generator, params: AlgebraParams) -> Element:
     return _b4_step(g, params).map(lambda h: to_b4_gen(h, params))
 
 
-def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
-    """Longest substitution chain taken while rewriting g into b4."""
-    if in_b4(g):
-        return 0
-    return 1 + max((b4_rewrite_depth(h, params) for h in _b4_step(g, params).keys()), default=0)
-
-
 def to_b4(e: Element) -> Element:
     """Rewrite into basis b4; equals the input as an open-string-algebra element."""
     return e.map(lambda g: to_b4_gen(g, e.params))

@@ -44,7 +44,6 @@ the triangular-like decomposition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -254,20 +253,14 @@ def diagonal_f(word: tuple) -> Generator:
     return gen_f(l1, l1, l2, l2, seq, seq)
 
 
-@dataclass(frozen=True)
-class RootData:
-    """Nonzero eigenvalue pairs of a root vector under diagonal generators."""
-
-    pairs: tuple  # ((Generator, +1), (Generator, -1))
-
-
 def is_root_vector(e: Element):
-    """RootData if e is a common eigenvector of the diagonal subalgebra.
+    """The eigenvalue pairs ((h_up, 1), (h_lo, -1)) of a root vector e, or None.
 
-    That happens exactly when e is a scalar multiple of a single
-    whole-chain (kind f) generator whose index words differ; the
-    eigenvalues are +1 under the diagonal generator of its upper word
-    and -1 under that of its lower word.
+    e is a root vector, a common eigenvector of the diagonal subalgebra,
+    exactly when e is a scalar multiple of a single whole-chain (kind f)
+    generator whose index words differ; the eigenvalues are +1 under the
+    diagonal generator of its upper word and -1 under that of its lower
+    word.
     """
     if len(e) != 1:
         return None
@@ -277,7 +270,7 @@ def is_root_vector(e: Element):
     up, lo = index_words(g)
     if up == lo:
         return None
-    return RootData(((diagonal_f(up), 1), (diagonal_f(lo), -1)))
+    return (diagonal_f(up), 1), (diagonal_f(lo), -1)
 
 
 def cartan_commutes(g1: Generator, g2: Generator, params: AlgebraParams) -> bool:

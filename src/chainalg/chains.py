@@ -334,19 +334,6 @@ def young_project(psi: TensorState, gamma) -> TensorState:
     return _symmetrize(_symmetrize(psi, rows, False), cols, True)
 
 
-def young_scalar(gamma) -> Fraction:
-    """The scalar m with (projector)^2 = m * projector: d! / #standard tableaux."""
-    gamma = check_partition(gamma)
-    hooks = 1
-    for i, part in enumerate(gamma):
-        for j in range(part):
-            arm = part - j - 1
-            leg = sum(1 for ii in range(i + 1, len(gamma)) if gamma[ii] > j)
-            hooks *= arm + leg + 1
-    # hook length formula: #SYT = d! / prod(hooks), so m = prod(hooks)
-    return Fraction(hooks)
-
-
 # ---------------------------------------------------------------------------
 # concrete lowest weight vectors
 

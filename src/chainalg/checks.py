@@ -25,6 +25,8 @@ from .chains import (
     lowest_weight_vector_concrete,
 )
 from .core import (
+    _N_FLAVORS,
+    KINDS,
     AlgebraParams,
     Combination,
     Element,
@@ -32,7 +34,6 @@ from .core import (
     all_seqs,
     gen_f,
     gen_l,
-    gen_r,
     gen_s,
     mirror,
 )
@@ -45,17 +46,10 @@ def random_generator(rng: random.Random, params: AlgebraParams, max_seq: int = 2
         n = rng.randint(0, max_seq)
         return tuple(rng.randint(1, params.colors) for _ in range(n))
 
-    def fl():
-        return rng.randint(1, params.flavors)
-
-    kind = rng.randrange(4)
-    if kind == 0:
-        return gen_f(fl(), fl(), fl(), fl(), seq(), seq())
-    if kind == 1:
-        return gen_l(fl(), fl(), seq(), seq())
-    if kind == 2:
-        return gen_r(fl(), fl(), seq(), seq())
-    return gen_s(seq(), seq())
+    # flavors, then the upper and the lower sequence: the seeded draws depend on this order
+    kind = rng.choice(KINDS)
+    flavors = tuple(rng.randint(1, params.flavors) for _ in range(_N_FLAVORS[kind]))
+    return Generator(kind, seq(), seq(), flavors)
 
 
 def random_element(

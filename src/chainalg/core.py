@@ -139,12 +139,6 @@ def seq_key(seq: IntSeq):
     return (len(seq), seq)
 
 
-def seq_compare(a: IntSeq, b: IntSeq) -> int:
-    """-1, 0 or +1 comparing index sequences (length first, then lexicographic)."""
-    ka, kb = seq_key(tuple(a)), seq_key(tuple(b))
-    return (ka > kb) - (ka < kb)
-
-
 def all_seqs(params: AlgebraParams, max_len: int):
     """Every color sequence of length <= max_len, ascending in the sequence ordering."""
     for n in range(max_len + 1):
@@ -212,12 +206,6 @@ def gen_key(g: Generator):
         lo_fl,
         up_fl,
     )
-
-
-def gen_compare(x: Generator, y: Generator) -> int:
-    """-1, 0 or +1 under the generator ordering (0 only for equal generators)."""
-    kx, ky = gen_key(x), gen_key(y)
-    return (kx > ky) - (kx < ky)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_06_cartan_and_roots():
         if (data is not None) != expect_root:
             ok = False
         if data is not None:
-            for h, ev in data.pairs:
+            for h, ev in data:
                 lhs = bracket(element(p, h), e)
                 if not to_b0(lhs - e.scaled(ev)).is_zero():
                     ok = False

@@ -23,7 +23,6 @@ from chainalg import (
 from chainalg.basis import (
     _b0_step,
     _b4_step,
-    b4_rewrite_depth,
     enumerate_generators,
     padding,
     to_b0_gen,
@@ -51,6 +50,13 @@ from chainalg.core import (
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
+
+
+def b4_rewrite_depth(g: Generator, params: AlgebraParams) -> int:
+    """Longest substitution chain taken while rewriting g into b4."""
+    if in_b4(g):
+        return 0
+    return 1 + max((b4_rewrite_depth(h, params) for h in _b4_step(g, params).keys()), default=0)
 
 
 def test_b0_membership():

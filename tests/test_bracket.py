@@ -196,11 +196,11 @@ def test_root_vector_detection():
     e = element(P21, gen_f(1, 1, 1, 1, (1,), (2,)))
     data = is_root_vector(e)
     assert data is not None
-    (h_up, ev_up), (h_dn, ev_dn) = data.pairs
+    (h_up, ev_up), (h_dn, ev_dn) = data
     assert h_up == gen_f(1, 1, 1, 1, (1,), (1,)) and ev_up == 1
     assert h_dn == gen_f(1, 1, 1, 1, (2,), (2,)) and ev_dn == -1
     # eigen equations hold in canonical form
-    for h, ev in data.pairs:
+    for h, ev in data:
         lhs = bracket(element(P21, h), e)
         assert to_b0(lhs - e.scaled(ev)).is_zero()
     assert is_root_vector(element(P21, gen_s((1,), (2,)))) is None

@@ -34,7 +34,6 @@ from chainalg.chains import (
     _act_gen_chain,
     all_chains,
     check_partition,
-    young_scalar,
 )
 from chainalg.checks import _gg_left, random_element, random_generator, suite_identities
 
@@ -42,6 +41,19 @@ P11 = AlgebraParams(1, 1)
 P12 = AlgebraParams(1, 2)
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
+
+
+def young_scalar(gamma) -> Fraction:
+    """The scalar m with (projector)^2 = m * projector: d! / #standard tableaux."""
+    gamma = check_partition(gamma)
+    hooks = 1
+    for i, part in enumerate(gamma):
+        for j in range(part):
+            arm = part - j - 1
+            leg = sum(1 for ii in range(i + 1, len(gamma)) if gamma[ii] > j)
+            hooks *= arm + leg + 1
+    # hook length formula: #SYT = d! / prod(hooks), so m = prod(hooks)
+    return Fraction(hooks)
 
 
 def test_interior_action_sums_over_occurrences():

@@ -226,6 +226,22 @@ def test_cli_rewrite(capsys):
     assert out == "-f(1,1;1,1)[2|2] + l(1,1)[2|2] - l(1,1)[2,2|2,2]"
 
 
+def test_cli_expression_with_leading_minus_after_double_dash(capsys):
+    # argparse reads an argument that starts with '-' as an option, so such
+    # an expression goes after '--'
+    code = main(
+        ["rewrite", "--basis", "b0", "--lambda", "2", "--lambda-f", "2", "--", "-l(1,1)[|]"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "l(2,2)[|] - s[|] + s[1|1] + s[2|2]\n"
+    code = main(["act", "--lambda", "1", "--lambda-f", "1", "--", "-s[1|1]", "chain(1,1)[1]"])
+    state = capsys.readouterr().out.strip()
+    assert code == 0 and state == "-chain(1,1)[1]"
+    code = main(["act", "--lambda", "1", "--lambda-f", "1", "--", "s[1|1]", state])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "-chain(1,1)[1]"
+
+
 def test_cli_classify(capsys):
     code = main(["classify", "s[1|2] + s[2|1]", "--lambda", "2", "--lambda-f", "1"])
     out = capsys.readouterr().out.strip().splitlines()

@@ -11,7 +11,6 @@ from chainalg import (
     AlgebraParams,
     Combination,
     element,
-    gen_compare,
     gen_f,
     gen_key,
     gen_l,
@@ -21,15 +20,27 @@ from chainalg import (
     omega,
     omega_gen,
     render_element,
-    seq_compare,
 )
 from chainalg.basis import to_b4_gen
 from chainalg.bracket import bracket_gen
 from chainalg.checks import random_element, random_generator
 from chainalg.cli import parse
+from chainalg.core import seq_key
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
+
+
+def seq_compare(a, b):
+    """-1, 0 or +1 comparing index sequences under seq_key."""
+    ka, kb = seq_key(tuple(a)), seq_key(tuple(b))
+    return (ka > kb) - (ka < kb)
+
+
+def gen_compare(x, y):
+    """-1, 0 or +1 comparing generators under gen_key."""
+    kx, ky = gen_key(x), gen_key(y)
+    return (kx > ky) - (kx < ky)
 
 
 def brute_seq_greater(a, b):
@@ -294,3 +305,35 @@ def test_combination_rejects_inexact_coefficients(bad):
     ):
         with pytest.raises(TypeError):
             build()
+
+
+def _reference_random_generator(rng, params, max_seq=2):
+    """The four-branch draw that checks.random_generator replaced."""
+    def seq():
+        n = rng.randint(0, max_seq)
+        return tuple(rng.randint(1, params.colors) for _ in range(n))
+
+    def fl():
+        return rng.randint(1, params.flavors)
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return gen_f(fl(), fl(), fl(), fl(), seq(), seq())
+    if kind == 1:
+        return gen_l(fl(), fl(), seq(), seq())
+    if kind == 2:
+        return gen_r(fl(), fl(), seq(), seq())
+    return gen_s(seq(), seq())
+
+
+@pytest.mark.parametrize("max_seq", [0, 1, 2, 3])
+@pytest.mark.parametrize("colors,flavors", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_random_generator_matches_reference_draws(colors, flavors, max_seq):
+    # every seeded test and the jacobi suite see the generators of the
+    # four-branch draw: flavors first, then the upper and the lower sequence
+    params = AlgebraParams(colors, flavors)
+    seed = 1000 * colors + 100 * flavors + max_seq
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        expected = _reference_random_generator(ref, params, max_seq)
+        assert random_generator(ours, params, max_seq) == expected

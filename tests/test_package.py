@@ -1,6 +1,7 @@
 """Module structure of the package: imports sit at module top and form no cycle,
-the caches are the ones listed in the README, and no function takes an optional
-second copy of the algebra parameters."""
+the caches are the ones listed in the README, no function takes an optional
+second copy of the algebra parameters, and no top-level code is there only for
+the tests."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -88,3 +89,40 @@ def test_no_params_argument_defaults_to_none():
                     if arg.arg == "params" and none:
                         optional.add(f"{name}.{getattr(node, 'name', '<lambda>')}")
     assert sorted(optional) == []
+
+
+# top-level names that nothing in the package reads and chainalg.__all__ does
+# not export, each with the reason it stays in the package
+UNREFERENCED_BY_DESIGN = {
+    "checks.suite_identities": "the CLI looks each suite up by name (getattr)",
+    "checks.suite_independence": "the CLI looks each suite up by name (getattr)",
+    "checks.suite_jacobi": "the CLI looks each suite up by name (getattr)",
+    "checks.suite_oracle": "the CLI looks each suite up by name (getattr)",
+    "checks.random_element": "random elements shared by the tests",
+    "checks.commutator_of_actions_ok": "the action-commutator oracle the tests share",
+    "weights.free_weight_from_af": "the free-mode weight fixture the tests share",
+}
+
+
+def _loaded_names(tree) -> set:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_top_level_code_only_tests_use():
+    # code that only tests call belongs in the tests; a name counts as read
+    # when another top-level statement of the package loads it, so a
+    # function's calls to itself do not count
+    statements = [(name, node) for name, tree in _parsed_modules().items() for node in tree.body]
+    reads = {id(node): _loaded_names(node) for _, node in statements}
+    unused = {
+        f"{name}.{node.name}"
+        for name, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in chainalg.__all__
+        and not any(node.name in reads[id(other)] for _, other in statements if other is not node)
+    }
+    assert sorted(unused) == sorted(UNREFERENCED_BY_DESIGN)
