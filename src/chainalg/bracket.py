@@ -32,7 +32,8 @@ multiplicities, omega and mirror acting through core.omega_fields/mirror_fields;
 each term that survives cancellation is built once, as one Generator.  Every
 row has integer coefficients: the halves yield +1 and -1, and the row of an
 extended interior operator is the sum of the integer rows of its padding
-generators.  The bilinear bracket sums integer numerators over one common
+pairs, built inside the one memo entry of the pair (the memo keeps at most
+2^14 rows).  The bilinear bracket sums integer numerators over one common
 denominator and builds one Fraction per output generator.
 
 Grade-zero generators split into raising, diagonal and lowering by
@@ -181,26 +182,23 @@ _TABLE = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def bracket_gen(a: Generator, b: Generator, params: AlgebraParams) -> Element:
     """Bracket of two generators as an exact Element, with integer coefficients."""
-    if is_extended_sigma(a):
-        rows = [bracket_gen(h, b, params) for h in padding(a, params, False)]
-    elif is_extended_sigma(b):
-        rows = [bracket_gen(a, h, params) for h in padding(b, params, False)]
-    elif (a.kind, b.kind) in _TABLE:
-        acc = {}
-        ta, tb = (a.kind, a.upper, a.lower, a.flavors), (b.kind, b.upper, b.lower, b.flavors)
-        for t, c in _TABLE[a.kind, b.kind](ta, tb):
-            acc[t] = acc.get(t, 0) + c
-        return Combination(params, {Generator(*t): c for t, c in acc.items() if c})
-    else:  # lower-priority kind first: antisymmetry
+    if (a.kind, b.kind) not in _TABLE:  # lower-priority kind first: antisymmetry
         return -bracket_gen(b, a, params)
     acc = {}
-    for row in rows:
-        for h, m in row.terms.items():
-            acc[h] = acc.get(h, 0) + m.numerator
-    return Combination(params, acc)
+    for x in padding(a, params, False) if is_extended_sigma(a) else (a,):
+        tx = (x.kind, x.upper, x.lower, x.flavors)
+        for y in padding(b, params, False) if is_extended_sigma(b) else (b,):
+            ty = (y.kind, y.upper, y.lower, y.flavors)
+            if (x.kind, y.kind) in _TABLE:
+                row = _TABLE[x.kind, y.kind](tx, ty)
+            else:
+                row = ((t, -c) for t, c in _TABLE[y.kind, x.kind](ty, tx))
+            for t, c in row:
+                acc[t] = acc.get(t, 0) + c
+    return Combination(params, {Generator(*t): c for t, c in acc.items() if c})
 
 
 def bracket(a: Element, b: Element) -> Element:

@@ -41,7 +41,7 @@ KIND_S = "s"
 KINDS = (KIND_F, KIND_L, KIND_R, KIND_S)
 
 # tie-break priority of the generator ordering: s > r > l > f
-_KIND_RANK = {KIND_F: 0, KIND_L: 1, KIND_R: 2, KIND_S: 3}
+_KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 
 _N_FLAVORS = {KIND_F: 4, KIND_L: 2, KIND_R: 2, KIND_S: 0}
 

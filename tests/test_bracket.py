@@ -257,7 +257,7 @@ def test_chain_reversal_is_an_automorphism_exhaustive():
                     assert bracket_gen(ma, mirror_gen(b), params) == mirror(
                         bracket_gen(a, b, params)
                     )
-            bracket_gen.cache_clear()  # bounds memory: about 170k pairs at (2, 2)
+            bracket_gen.cache_clear()  # keeps one a's rows: at most 1,435 at (2, 2)
 
 
 def test_charge_is_a_grading():
@@ -571,6 +571,25 @@ def test_bracket_rows_have_integer_coefficients():
     finally:
         bracket_gen.cache_clear()
     assert pairs == 61349
+
+
+def test_bracket_memo_is_bounded_with_one_entry_per_row():
+    # the rows of an extended interior operator's padding pairs are summed
+    # inside its own row and take no memo entries; a pair in reversed kind
+    # order also stores the table-order row it negates
+    assert bracket_gen.cache_info().maxsize == 1 << 14
+    s_, s_1 = gen_s((), ()), gen_s((1,), ())
+    l_1, l1_ = gen_l(1, 2, (), (1,)), gen_l(1, 2, (1,), ())
+    f_1 = gen_f(1, 2, 2, 1, (), (1,))
+    try:
+        for a, b, entries in ((s_, s_1, 1), (l_1, s_1, 1), (l1_, f_1, 2)):
+            bracket_gen.cache_clear()
+            row = bracket_gen(a, b, P22)
+            assert bracket_gen.cache_info().currsize == entries, (a, b)
+        assert bracket_gen(f_1, l1_, P22) == -row
+        assert bracket_gen.cache_info().hits == 1
+    finally:
+        bracket_gen.cache_clear()
 
 
 _DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 2**61 - 1)
