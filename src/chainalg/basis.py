@@ -31,7 +31,6 @@ b0 step yields terms in b0 or one step from it, so to_b0_gen needs no memo.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .chains import _act_gen_chain, all_chains
@@ -45,6 +44,7 @@ from .core import (
     Element,
     Generator,
     all_seqs,
+    congruence,
     gen_f,
     gen_l,
     gen_r,
@@ -201,41 +201,29 @@ def enumerate_b0(params: AlgebraParams, max_size: int):
     return [g for g in enumerate_generators(params, max_size) if in_b0(g)]
 
 
-def sparse_rank(rows: list) -> int:
-    """Rank of sparse rational rows (dicts keyed by comparable column ids)."""
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        work = {c: Fraction(v) for c, v in row.items() if v}
-        while work:
-            col = min(work)
-            if col in pivots:
-                f = work.pop(col)
-                for c2, v in pivots[col].items():
-                    s = work.get(c2, Fraction(0)) - f * v
-                    if s:
-                        work[c2] = s
-                    else:
-                        work.pop(c2, None)
-            else:
-                lead = work.pop(col)
-                pivots[col] = {c: v / lead for c, v in work.items()}
-                rank += 1
-                break
-    return rank
+def _action_gram(params: AlgebraParams, max_size: int, max_len: int) -> dict:
+    """Sparse rows of G = M M^T, M the b0 generators' action rows on the chains.
+
+    Distinct (chain, image) pairs are orthonormal, so x^T G x = |M^T x|^2:
+    G is positive semidefinite and rank G = rank M.
+    """
+    gens, chains = enumerate_b0(params, max_size), list(all_chains(params, max_len))
+    cols: dict = {}
+    for a, g in enumerate(gens):
+        for c in chains:
+            for out, coeff in _act_gen_chain(g, c):
+                col = cols.setdefault((c, out), {})
+                col[a] = col.get(a, 0) + coeff
+    gram: dict = {a: {} for a in range(len(gens))}
+    for col in cols.values():
+        for a, x in col.items():
+            for b, y in col.items():
+                gram[a][b] = gram[a].get(b, 0) + x * y
+    return {a: {b: v for b, v in row.items() if v} for a, row in gram.items()}
 
 
 def independence_check_b0(params: AlgebraParams, max_size: int, max_len: int) -> bool:
     """Exact rank of the action matrix equals the number of b0 generators."""
-    gens = enumerate_b0(params, max_size)
-    col_ids: dict = {}
-    rows = []
-    for g in gens:
-        row: dict = {}
-        for c in all_chains(params, max_len):
-            for out, coeff in _act_gen_chain(g, c):
-                key = (c, out)
-                cid = col_ids.setdefault(key, len(col_ids))
-                row[cid] = row.get(cid, 0) + coeff
-        rows.append(row)
-    return sparse_rank(rows) == len(gens)
+    gram = _action_gram(params, max_size, max_len)
+    n_pos, _, _ = congruence(gram)  # G is semidefinite: its rank is n_pos
+    return n_pos == len(gram)

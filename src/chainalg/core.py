@@ -21,7 +21,9 @@ generators; all arithmetic is exact (fractions.Fraction), never float.
 Combination.map is the one linear extension of a rule on generators; the
 bilinear bracket and the module action sum integer numerators over one
 common denominator instead.  A Combination stores a coefficient as it is
-under a new key and adds only when a key repeats.
+under a new key and adds only when a key repeats.  congruence is the one
+exact elimination: the signature and radical of a symmetric matrix given
+as sparse rows, hence also the rank of a semidefinite one.
 """
 
 from __future__ import annotations
@@ -399,6 +401,63 @@ def mirror_gen(g: Generator) -> Generator:
 def mirror(e: Element) -> Element:
     """Linear extension of mirror_gen."""
     return Combination.from_items(e.params, ((mirror_gen(g), c) for g, c in e))
+
+
+# ---------------------------------------------------------------------------
+# exact congruence elimination over sparse rows
+
+def _add_scaled(dst: dict, src: dict, f=1) -> None:
+    """dst += f * src on sparse rows; entries that cancel are dropped."""
+    for k, v in src.items():
+        s = dst.get(k, 0) + f * v
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
+
+
+def congruence(rows: dict) -> tuple:
+    """(n_pos, n_neg, radical) of a symmetric matrix by exact congruence elimination.
+
+    rows maps every index to its sparse row {j: a_ij} of nonzero exact
+    rationals, a_ij == a_ji.  radical maps each index that is never a pivot
+    to its sparse row of the transform; these rows span the radical.  The
+    pivot is the first row with a nonzero diagonal, and row operations
+    alone clear its column.  When every diagonal is zero, the first nonzero
+    pair (i, j) gives x_i += x_j as a row and a column operation.  A step
+    touches only the rows with a nonzero in its pivot column, so it never
+    leaves a block of the nonzero pattern.
+    """
+    t = {i: {i: Fraction(1)} for i in rows}
+    rows = {i: dict(r) for i, r in rows.items() if r}  # an empty row is radical already
+    n_pos = n_neg = 0
+    while rows:
+        p = min((i for i, r in rows.items() if i in r), default=None)
+        if p is None:
+            i = min(rows)
+            j = min(rows[i])
+            ri, rj = rows[i], rows[j]
+            _add_scaled(ri, rj)  # row operation; a_jj = 0, so ri[j] stays a_ij
+            ri[i] += ri[j]  # column operation on the diagonal: a_ji + a_ij
+            for r in rj.keys() - {i}:  # and on the other rows: a_ri += a_rj
+                _add_scaled(rows[r], {i: rj[r]})
+            _add_scaled(t[i], t[j])
+            continue
+        row, tp = rows.pop(p), t.pop(p)
+        d = Fraction(row.pop(p))  # int / int would be a float
+        if d > 0:
+            n_pos += 1
+        else:
+            n_neg += 1
+        for r, v in row.items():
+            f = -v / d
+            rr = rows[r]
+            del rr[p]
+            _add_scaled(rr, row, f)
+            _add_scaled(t[r], tp, f)
+            if not rr:
+                del rows[r]
+    return n_pos, n_neg, t
 
 
 # ---------------------------------------------------------------------------

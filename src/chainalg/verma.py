@@ -14,9 +14,10 @@ signature and a basis of the radical.
 
 Every word has an additive charge (core.charge), and the form pairs only
 words of equal charge (the weight-space splitting of the Shapovalov
-form).  gram_matrix computes in-charge pairs only; inertia eliminates each
-block of the nonzero pattern alone.  No elimination step leaves its block,
-so the output equals one whole-matrix elimination exactly.
+form).  gram_matrix computes in-charge pairs only.  inertia checks its
+input and hands the nonzero entries as sparse rows to core.congruence,
+whose steps never leave a block of the nonzero pattern; only the radical
+rows it returns are made dense.
 
 The truncated interior norm counts paddings through the chain action:
 the splitting count is a matrix element of an interior operator between
@@ -39,6 +40,7 @@ from .core import (
     _as_fraction,
     all_seqs,
     charge,
+    congruence,
     gen_f,
     gen_key,
     gen_s,
@@ -203,74 +205,21 @@ class Inertia:
 
 
 def inertia(m: GramMatrix | list) -> Inertia:
-    """Exact signature and radical basis by congruence elimination, block by block."""
+    """Exact signature and radical basis by congruence elimination (core.congruence)."""
     entries = m.entries if isinstance(m, GramMatrix) else m
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise ValueError("inertia requires a square matrix")
-    a = [[_as_fraction(v) for v in row] for row in entries]
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+    rows = {
+        i: {j: v for j, v in enumerate(map(_as_fraction, row)) if v}
+        for i, row in enumerate(entries)
+    }
+    if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
         raise ValueError("inertia requires a symmetric matrix")
-    t = [[Fraction(0)] * i + [Fraction(1)] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
-    n_pos = n_neg = 0
-    radical = []
-    for comp in _components(a):
-        remaining = list(comp)
-        while remaining:
-            pivot = next((k for k in remaining if a[k][k]), None)
-            if pivot is None:
-                off = next(
-                    ((i, j) for i in remaining for j in remaining if i != j and a[i][j]),
-                    None,
-                )
-                if off is None:
-                    break
-                i, j = off
-                for c in comp:
-                    a[i][c] += a[j][c]
-                for r in comp:
-                    a[r][i] += a[r][j]
-                for c in comp:
-                    t[i][c] += t[j][c]
-                continue
-            d = a[pivot][pivot]
-            if d > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            others = [i for i in remaining if i != pivot]
-            factors = {i: a[i][pivot] / d for i in others}
-            for i in others:
-                f = factors[i]
-                if not f:
-                    continue
-                for c in comp:
-                    a[i][c] -= f * a[pivot][c]
-                    t[i][c] -= f * t[pivot][c]
-            for i in others:
-                f = factors[i]
-                if not f:
-                    continue
-                for r in comp:
-                    a[r][i] -= f * a[r][pivot]
-            remaining.remove(pivot)
-        radical += remaining
-    return Inertia(n_pos, len(radical), n_neg, [t[i] for i in sorted(radical)])
-
-
-def _components(a: list) -> list:
-    """Ascending index lists of the connected components of a's nonzero pattern."""
-    seen, out = set(), []
-    for start in range(len(a)):
-        if start not in seen:
-            seen.add(start)
-            comp = [start]
-            for i in comp:
-                new = {j for j, v in enumerate(a[i]) if v} - seen
-                seen |= new
-                comp += new
-            out.append(sorted(comp))
-    return out
+    n_pos, n_neg, radical = congruence(rows)
+    zero = Fraction(0)
+    dense = [[radical[i].get(j, zero) for j in range(n)] for i in sorted(radical)]
+    return Inertia(n_pos, len(radical), n_neg, dense)
 
 
 # ---------------------------------------------------------------------------

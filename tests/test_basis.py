@@ -21,8 +21,10 @@ from chainalg import (
     to_b4,
 )
 from chainalg.basis import (
+    _action_gram,
     _b0_step,
     _b4_step,
+    enumerate_b0,
     enumerate_generators,
     padding,
     to_b0_gen,
@@ -39,6 +41,7 @@ from chainalg.core import (
     Element,
     Generator,
     all_seqs,
+    congruence,
     mirror,
     mirror_gen,
     omega,
@@ -240,6 +243,27 @@ def test_independence_examples():
     assert independence_check_b0(P11, 1, 3)
     assert independence_check_b0(P11, 0, 2)
     assert independence_check_b0(P21, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "params, max_size, max_len",
+    [(P11, 2, 1), (P11, 1, 0), (P21, 2, 1), (P22, 2, 1)],
+    ids=["P11-2-1", "P11-1-0", "P21-2-1", "P22-2-1"],
+)
+def test_independence_fails_on_chains_too_short(params, max_size, max_len):
+    # chains this short cannot separate the generators, so the rank falls short
+    assert not independence_check_b0(params, max_size, max_len)
+
+
+@pytest.mark.parametrize(
+    "params, max_size, max_len",
+    [(P11, 1, 3), (P21, 2, 4), (P11, 2, 1), (P22, 2, 1)],
+    ids=["P11-1-3", "P21-2-4", "P11-2-1", "P22-2-1"],
+)
+def test_action_gram_is_semidefinite(params, max_size, max_len):
+    n_pos, n_neg, radical = congruence(_action_gram(params, max_size, max_len))
+    assert n_neg == 0
+    assert n_pos + len(radical) == len(enumerate_b0(params, max_size))
 
 
 def test_rewrites_golden():

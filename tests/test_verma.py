@@ -1,5 +1,6 @@
 """Normal ordering, contravariant form, Gram analysis, sl(2) data."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from chainalg import (
 from chainalg.basis import to_b0, to_b4
 from chainalg.bracket import TriangularClass, bracket_gen, classify
 from chainalg.chains import act_tensor
-from chainalg.core import charge, gen_key
+from chainalg.core import _as_fraction, charge, gen_key
 from chainalg.checks import random_generator
 from chainalg.verma import (
     VermaState,
@@ -41,6 +42,7 @@ from chainalg.weights import Weight
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
+P12 = AlgebraParams(1, 2)
 P22 = AlgebraParams(2, 2)
 
 
@@ -205,6 +207,165 @@ def test_gram_matches_hermitian_form_on_every_pair():
                 assert gm[i, j] == gm[j, i] == hermitian_form(words[i], words[j], w)
                 cross += charge(*wi) != charge(*gm.words[j])
     assert cross
+
+
+def _reference_inertia(entries: list) -> tuple:
+    """The dense elimination that inertia replaced, kept as its slow path.
+
+    Returns (n_pos, n_zero, n_neg, radical rows, off-diagonal steps taken).
+    """
+    n = len(entries)
+    a = [[_as_fraction(v) for v in row] for row in entries]
+    t = [[Fraction(0)] * i + [Fraction(1)] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    n_pos = n_neg = off_steps = 0
+    radical = []
+    for comp in _components(a):
+        remaining = list(comp)
+        while remaining:
+            pivot = next((k for k in remaining if a[k][k]), None)
+            if pivot is None:
+                off = next(
+                    ((i, j) for i in remaining for j in remaining if i != j and a[i][j]),
+                    None,
+                )
+                if off is None:
+                    break
+                i, j = off
+                for c in comp:
+                    a[i][c] += a[j][c]
+                for r in comp:
+                    a[r][i] += a[r][j]
+                for c in comp:
+                    t[i][c] += t[j][c]
+                off_steps += 1
+                continue
+            d = a[pivot][pivot]
+            if d > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            others = [i for i in remaining if i != pivot]
+            factors = {i: a[i][pivot] / d for i in others}
+            for i in others:
+                f = factors[i]
+                if not f:
+                    continue
+                for c in comp:
+                    a[i][c] -= f * a[pivot][c]
+                    t[i][c] -= f * t[pivot][c]
+            for i in others:
+                f = factors[i]
+                if not f:
+                    continue
+                for r in comp:
+                    a[r][i] -= f * a[r][pivot]
+            remaining.remove(pivot)
+        radical += remaining
+    return n_pos, len(radical), n_neg, [t[i] for i in sorted(radical)], off_steps
+
+
+def _components(a: list) -> list:
+    """Ascending index lists of the connected components of a's nonzero pattern."""
+    seen, out = set(), []
+    for start in range(len(a)):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for i in comp:
+                new = {j for j, v in enumerate(a[i]) if v} - seen
+                seen |= new
+                comp += new
+            out.append(sorted(comp))
+    return out
+
+
+def _random_symmetric(rng: random.Random, n: int) -> list:
+    """Symmetric rational matrix with a random density; about half its diagonal is zero."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    density = rng.random()
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() < density:
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            m[i][i] = Fraction(0)
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _small_grams() -> tuple:
+    """(case, Gram entries, inertia) for every Gram matrix of size <= 3 at
+    lambda, lambda_f <= 2 and gamma in (1), (2), (1,1), (2,1)."""
+    out = []
+    for params in (P11, P21, P12, P22):
+        for gamma in ((1,), (2,), (1, 1), (2, 1)):
+            w = weight_from_partition(gamma, params)
+            for size in (1, 2, 3):
+                gm = gram_matrix(w, size)
+                out.append(((params, gamma, size), gm.entries, inertia(gm)))
+    return tuple(out)
+
+
+def _matches_reference(entries: list, res) -> int:
+    """Assert res equals the dense reference on entries; return its off-diagonal steps."""
+    *expected, off_steps = _reference_inertia(entries)
+    assert [res.n_pos, res.n_zero, res.n_neg, res.radical] == expected
+    return off_steps
+
+
+def test_inertia_matches_dense_reference_on_random_matrices():
+    rng = random.Random(2026)
+    cases = (_random_symmetric(rng, rng.randint(0, 9)) for _ in range(2000))
+    off_steps = sum(_matches_reference(m, inertia(m)) for m in cases)
+    assert off_steps > 500  # the zero-diagonal step runs often
+
+
+def test_inertia_matches_dense_reference_on_small_grams():
+    grams = _small_grams()
+    assert len(grams) == 48
+    for _, entries, res in grams:
+        _matches_reference(entries, res)
+
+
+P_MOD = 2**31 - 1
+
+
+def _rank_mod_p(entries: list) -> int:
+    """Rank modulo P_MOD by sparse row echelon: a check independent of the congruence kernel."""
+    pivots: dict = {}
+    for row in entries:
+        work = {}
+        for j, v in enumerate(row):
+            if v:
+                assert v.denominator % P_MOD, "P_MOD divides a denominator"
+                if v.numerator % P_MOD:
+                    work[j] = v.numerator * pow(v.denominator, -1, P_MOD) % P_MOD
+        while work:
+            col = min(work)
+            if col not in pivots:
+                inv = pow(work[col], -1, P_MOD)
+                pivots[col] = {c: x * inv % P_MOD for c, x in work.items()}
+                break
+            f = work[col]
+            for c, x in pivots[col].items():
+                s = (work.get(c, 0) - f * x) % P_MOD
+                if s:
+                    work[c] = s
+                else:
+                    work.pop(c, None)
+    return len(pivots)
+
+
+def test_rank_mod_p_example():
+    assert _rank_mod_p([[1, 2], [2, 4]]) == 1
+    assert _rank_mod_p([[P_MOD, 0], [0, Fraction(1, 2)]]) == 1  # P_MOD vanishes modulo itself
+    assert _rank_mod_p([[0, 1], [1, 0]]) == 2
+
+
+def test_inertia_rank_is_at_least_the_rank_mod_p():
+    # reduction modulo a prime can only lower the rank over the rationals
+    for case, entries, res in _small_grams():
+        assert res.n_pos + res.n_neg >= _rank_mod_p(entries), case
 
 
 def test_inertia_radical_annihilates_matrix():
