@@ -53,7 +53,7 @@ from .core import (
     mirror_gen,
     omega,
     omega_gen,
-    run_length,
+    trailing_ones,
 )
 
 
@@ -161,7 +161,7 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
         # left-end or interior operator, both sequences end in 1: the right
         # paddings of the copies short of 1^k, k <= n, telescope, so the
         # shared 1-block goes in one step
-        n = min(run_length(up, 1, True), run_length(lo, 1, True))
+        n = min(trailing_ones(up), trailing_ones(lo))
         for k in range(n, 0, -1):
             items += _vanishing(Generator(g.kind, up[:-k], lo[:-k], g.flavors), params)
     return Combination.from_items(params, items)

@@ -388,8 +388,9 @@ def _dispatch(args) -> int:
             res = inertia(gm)
             print(f"inertia: pos={res.n_pos} zero={res.n_zero} neg={res.n_neg}")
             print(f"radical dim {len(res.radical)}")
+            zero, n = Fraction(0), len(gm.words)
             for i, vec in enumerate(res.radical):
-                print(f"radical {i}: " + " ".join(render_frac(v) for v in vec))
+                print(f"radical {i}: " + " ".join(render_frac(vec.get(j, zero)) for j in range(n)))
         return 0
     if cmd == "check":
         params = _require_params(args)

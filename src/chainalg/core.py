@@ -147,14 +147,9 @@ def all_seqs(params: AlgebraParams, max_len: int):
         yield from itertools.product(params.color_range(), repeat=n)
 
 
-def run_length(seq: IntSeq, value: int, from_end: bool) -> int:
-    """Length of the block of `value` entries that starts (or ends) the sequence."""
-    n = 0
-    for x in reversed(seq) if from_end else seq:
-        if x != value:
-            break
-        n += 1
-    return n
+def trailing_ones(seq: IntSeq) -> int:
+    """Length of the block of 1 entries that ends the sequence."""
+    return next((k for k, x in enumerate(reversed(seq)) if x != 1), len(seq))
 
 
 def flavor_words(g: Generator) -> tuple:

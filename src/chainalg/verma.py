@@ -16,8 +16,8 @@ Every word has an additive charge (core.charge), and the form pairs only
 words of equal charge (the weight-space splitting of the Shapovalov
 form).  gram_matrix computes in-charge pairs only.  inertia checks its
 input and hands the nonzero entries as sparse rows to core.congruence,
-whose steps never leave a block of the nonzero pattern; only the radical
-rows it returns are made dense.
+whose steps never leave a block of the nonzero pattern; the radical rows
+it returns stay sparse.
 
 The truncated interior norm counts paddings through the chain action:
 the splitting count is a matrix element of an interior operator between
@@ -201,11 +201,14 @@ class Inertia:
     n_pos: int
     n_zero: int
     n_neg: int
-    radical: list  # rows of coordinates in the word basis
+    radical: list  # sparse rows {word index: nonzero coefficient}, by ascending index
 
 
 def inertia(m: GramMatrix | list) -> Inertia:
-    """Exact signature and radical basis by congruence elimination (core.congruence)."""
+    """Exact signature and radical basis by congruence elimination (core.congruence).
+
+    The radical rows are the kernel's own sparse rows, one per non-pivot index.
+    """
     entries = m.entries if isinstance(m, GramMatrix) else m
     n = len(entries)
     if any(len(row) != n for row in entries):
@@ -217,9 +220,7 @@ def inertia(m: GramMatrix | list) -> Inertia:
     if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
         raise ValueError("inertia requires a symmetric matrix")
     n_pos, n_neg, radical = congruence(rows)
-    zero = Fraction(0)
-    dense = [[radical[i].get(j, zero) for j in range(n)] for i in sorted(radical)]
-    return Inertia(n_pos, len(radical), n_neg, dense)
+    return Inertia(n_pos, len(radical), n_neg, [radical[i] for i in sorted(radical)])
 
 
 # ---------------------------------------------------------------------------

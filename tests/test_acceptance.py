@@ -262,10 +262,8 @@ def test_criterion_08_tensor_oracle_and_unitarity():
                     word_images[word] = state
                 for vec in res.radical:
                     acc: dict = {}
-                    for coeff, word in zip(vec, gm.words):
-                        if not coeff:
-                            continue
-                        for key, val in word_images[word]:
+                    for i, coeff in vec.items():
+                        for key, val in word_images[gm.words[i]]:
                             s = acc.get(key, 0) + coeff * val
                             if s:
                                 acc[key] = s

@@ -47,7 +47,7 @@ from chainalg.core import (
     omega,
     omega_gen,
     render_element,
-    run_length,
+    trailing_ones,
 )
 
 P11 = AlgebraParams(1, 1)
@@ -384,7 +384,7 @@ def _ref_b4_step(g: Generator, params: AlgebraParams) -> Element:
             op, cap = partial(gen_l, l1, l2), lambda m, u, v: gen_f(l1, l2, m, m, u, v)
         else:
             op, cap = gen_s, lambda m, u, v: gen_r(m, m, u, v)
-        n = min(run_length(up, 1, True), run_length(lo, 1, True))
+        n = min(trailing_ones(up), trailing_ones(lo))
         bu, bl = up[:-n], lo[:-n]
         items = [(op(bu, bl), 1)]
         for p in range(n):

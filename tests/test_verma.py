@@ -187,11 +187,7 @@ def test_inertia_interleaved_blocks_golden():
                 m[i][j] = block[a][b]
     res = inertia(m)
     assert (res.n_pos, res.n_zero, res.n_neg) == (4, 3, 2)
-    assert res.radical == [
-        [0, 0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, -2, 0, 0, 0, 0, 1, 0],
-        [0, -2, 0, 0, 0, 0, 0, 0, 1],
-    ]
+    assert res.radical == [{4: 1}, {2: -2, 7: 1}, {1: -2, 8: 1}]
 
 
 def test_gram_matches_hermitian_form_on_every_pair():
@@ -309,14 +305,19 @@ def _small_grams() -> tuple:
 def _matches_reference(entries: list, res) -> int:
     """Assert res equals the dense reference on entries; return its off-diagonal steps."""
     *expected, off_steps = _reference_inertia(entries)
-    assert [res.n_pos, res.n_zero, res.n_neg, res.radical] == expected
+    n = len(entries)
+    dense = [[row.get(j, 0) for j in range(n)] for row in res.radical]
+    assert [res.n_pos, res.n_zero, res.n_neg, dense] == expected
     return off_steps
 
 
-def test_inertia_matches_dense_reference_on_random_matrices():
+def _random_matrices() -> list:
     rng = random.Random(2026)
-    cases = (_random_symmetric(rng, rng.randint(0, 9)) for _ in range(2000))
-    off_steps = sum(_matches_reference(m, inertia(m)) for m in cases)
+    return [_random_symmetric(rng, rng.randint(0, 9)) for _ in range(2000)]
+
+
+def test_inertia_matches_dense_reference_on_random_matrices():
+    off_steps = sum(_matches_reference(m, inertia(m)) for m in _random_matrices())
     assert off_steps > 500  # the zero-diagonal step runs often
 
 
@@ -325,6 +326,15 @@ def test_inertia_matches_dense_reference_on_small_grams():
     assert len(grams) == 48
     for _, entries, res in grams:
         _matches_reference(entries, res)
+
+
+def test_inertia_radical_rows_are_sparse():
+    cases = [(entries, res) for _, entries, res in _small_grams()]
+    cases += [(m, inertia(m)) for m in _random_matrices()]
+    for entries, res in cases:
+        for row in res.radical:
+            assert isinstance(row, dict) and row.keys() <= set(range(len(entries)))
+            assert all(row.values())
 
 
 P_MOD = 2**31 - 1
@@ -375,7 +385,7 @@ def test_inertia_radical_annihilates_matrix():
     n = len(gm.words)
     for vec in res.radical:
         for col in range(n):
-            assert sum(vec[i] * gm[i, col] for i in range(n)) == 0
+            assert sum(c * gm[i, col] for i, c in vec.items()) == 0
     assert res.n_pos + res.n_zero + res.n_neg == n
 
 
@@ -531,9 +541,8 @@ def test_radical_vectors_vanish_in_concrete_model():
             images.append(state)
         for vec in res.radical:
             total = Combination.zero(params)
-            for c, img in zip(vec, images):
-                if c:
-                    total = total + img.scaled(c)
+            for i, c in vec.items():
+                total = total + images[i].scaled(c)
             assert total.is_zero()
 
 
