@@ -211,7 +211,7 @@ def _action_gram(params: AlgebraParams, max_size: int, max_len: int) -> dict:
     cols: dict = {}
     for a, g in enumerate(gens):
         for c in chains:
-            for out, coeff in _act_gen_chain(g, c):
+            for out, coeff in _act_gen_chain(g, c.left, c.body, c.right):
                 col = cols.setdefault((c, out), {})
                 col[a] = col.get(a, 0) + coeff
     gram: dict = {a: {} for a in range(len(gens))}

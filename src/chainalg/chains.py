@@ -6,14 +6,14 @@ combinations of chains; equality of algebra elements in the open string
 algebra means equality of their actions on every chain, which this
 module probes up to a chosen body length.
 
-_act_gen_chain is the one rule for a single generator on a single chain.
-act and act_tensor share one loop.  It applies that rule only to the terms
-that can act, indexing each element once by the chain data its terms read
-(whole chain, prefix, suffix, interior word; a one-entry memo keyed by
-identity keeps the index across equal_on_chains), and it sums integer
-numerators over one common denominator, building one Fraction per output.
-equal_on_chains asks act only about chains where that index finds a term of
-the difference: act applies no other term, so it maps every other chain to 0.
+_act_gen_chain is the one rule for a single generator on a single chain, read
+and yielded as (left, body, right) field tuples.  act and act_tensor share one
+loop.  It applies the rule only to the terms that can act, indexing each
+element once by the chain data its terms read (a one-entry memo keyed by
+identity keeps the index across equal_on_chains), and sums integer numerators
+over one common denominator, on field tuples for act: one Chain and one
+Fraction per nonzero output.  equal_on_chains builds a Chain and asks act only
+where that index finds a term of the difference; act maps the rest to 0.
 
 all_chains decides the one chain order: bodies in the sequence ordering,
 then flavor pairs, right flavor fastest.  chain_sort_key sorts in it and
@@ -72,49 +72,48 @@ ChainState = Combination  # keys: Chain
 TensorState = Combination  # keys: tuple of Chain, fixed length
 
 
-def chain_state(params: AlgebraParams, c: Chain, coeff=1) -> ChainState:
+def chain_state(params: AlgebraParams, c: Chain, coeff=Fraction(1)) -> ChainState:
     return Combination.term(params, c, coeff)
 
 
 # ---------------------------------------------------------------------------
 # single-chain action of one generator
 
-def _act_gen_chain(g: Generator, c: Chain):
-    """Yield (Chain, coeff) contributions of one generator on one chain."""
-    body = c.body
+def _act_gen_chain(g: Generator, left: int, body: tuple, right: int):
+    """Yield ((left, body, right), mult) contributions of one generator on one chain."""
     n = len(body)
     if g.kind == KIND_F:
         l1, l2, l3, l4 = g.flavors
-        if c.left == l2 and body == g.lower and c.right == l4:
-            yield Chain(l1, g.upper, l3), 1
+        if left == l2 and body == g.lower and right == l4:
+            yield (l1, g.upper, l3), 1
     elif g.kind == KIND_L:
         l1, l2 = g.flavors
         k = len(g.lower)
-        if c.left == l2 and body[:k] == g.lower:
-            yield Chain(l1, g.upper + body[k:], c.right), 1
+        if left == l2 and body[:k] == g.lower:
+            yield (l1, g.upper + body[k:], right), 1
     elif g.kind == KIND_R:
         # written out, not derived through mirror_gen: the right-end identity
         # then checks this branch against the f branch, not a mirror copy
         l1, l2 = g.flavors
         k = len(g.lower)
-        if c.right == l2 and (k == 0 or body[-k:] == g.lower):
+        if right == l2 and (k == 0 or body[-k:] == g.lower):
             head = body[: n - k] if k else body
-            yield Chain(c.left, head + g.upper, l1), 1
+            yield (left, head + g.upper, l1), 1
     else:
         lo, up = g.lower, g.upper
         if not lo and not up:
             # length counter
-            yield c, n + 1
+            yield (left, body, right), n + 1
         elif not lo:
             # inserter: one copy of the upper word at every gap
             for cut in range(n + 1):
-                yield Chain(c.left, body[:cut] + up + body[cut:], c.right), 1
+                yield (left, body[:cut] + up + body[cut:], right), 1
         else:
             # match every occurrence of the lower word, substitute the upper
             k = len(lo)
             for start in range(n - k + 1):
                 if body[start : start + k] == lo:
-                    yield Chain(c.left, body[:start] + up + body[start + k :], c.right), 1
+                    yield (left, body[:start] + up + body[start + k :], right), 1
 
 
 def _index_terms(e: Element) -> tuple:
@@ -146,18 +145,17 @@ def _index_terms(e: Element) -> tuple:
     return (whole, left, right, inner, every), d_e
 
 
-def _terms_on(index: tuple, c: Chain) -> list:
-    """The indexed terms whose lower data occurs in c: the only ones that act."""
+def _terms_on(index: tuple, lf: int, body: tuple, rf: int) -> list:
+    """The indexed terms whose lower data occurs in the chain: the only ones that act."""
     whole, left, right, inner, every = index
-    body = c.body
     n = len(body)
-    terms = every + whole.get((c.left, body, c.right), [])
+    terms = every + whole.get((lf, body, rf), [])
     for k, table in left.items():
         if k <= n:
-            terms += table.get((c.left, body[:k]), ())
+            terms += table.get((lf, body[:k]), ())
     for k, table in right.items():
         if k <= n:
-            terms += table.get((c.right, body[n - k :]), ())
+            terms += table.get((rf, body[n - k :]), ())
     for k, table in inner.items():
         # each distinct occurrence once; _act_gen_chain counts the repeats
         for sub in {body[i : i + k] for i in range(n - k + 1)}:
@@ -182,7 +180,7 @@ def _index_of(e: Element) -> tuple:
 
 
 def _act_sum(e: Element, psi: Combination, tensor: bool) -> Combination:
-    """The loop of act, and of act_tensor (every slot of chain-tuple keys)."""
+    """The loop of act, on field tuples, and of act_tensor, on chain tuples slot by slot."""
     if e.params != psi.params:
         raise ValueError("algebra parameter mismatch between element and state")
     index, d_e = _index_of(e)
@@ -191,12 +189,13 @@ def _act_sum(e: Element, psi: Combination, tensor: bool) -> Combination:
     for key, w in psi:
         w_num = w.numerator * (d_psi // w.denominator)
         for slot, c in enumerate(key) if tensor else ((0, key),):
-            for g, k in _terms_on(index, c):
-                for out, mult in _act_gen_chain(g, c):
+            for g, k in _terms_on(index, c.left, c.body, c.right):
+                for out, mult in _act_gen_chain(g, c.left, c.body, c.right):
                     if tensor:
-                        out = key[:slot] + (out,) + key[slot + 1 :]
+                        out = key[:slot] + (Chain(*out),) + key[slot + 1 :]
                     acc[out] = acc.get(out, 0) + k * w_num * mult
-    return Combination(psi.params, {out: Fraction(t, d_e * d_psi) for out, t in acc.items() if t})
+    terms = {k if tensor else Chain(*k): Fraction(t, d_e * d_psi) for k, t in acc.items() if t}
+    return Combination(psi.params, terms)
 
 
 def act(e: Element, psi: ChainState) -> ChainState:
@@ -206,7 +205,8 @@ def act(e: Element, psi: ChainState) -> ChainState:
 
 def matrix_element(g: Generator, src: Chain, dst: Chain) -> int:
     """Coefficient of dst in g . src."""
-    return sum(m for out, m in _act_gen_chain(g, src) if out == dst)
+    want = (dst.left, dst.body, dst.right)
+    return sum(m for out, m in _act_gen_chain(g, src.left, src.body, src.right) if out == want)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,11 @@ def equal_on_chains(a: Element, b: Element, max_len: int) -> bool:
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
     params = a.params
-    diff = a - b
-    if diff.is_zero():
-        return True
+    diff = a - b  # a zero difference has no term, so no chain is probed
     index, _ = _index_of(diff)
-    for c in all_chains(params, max_len):
-        if _terms_on(index, c) and not act(diff, chain_state(params, c)).is_zero():
+    fl = params.flavor_range()
+    for body, lf, rf in itertools.product(all_seqs(params, max_len), fl, fl):  # all_chains' order
+        if _terms_on(index, lf, body, rf) and act(diff, chain_state(params, Chain(lf, body, rf))):
             return False
     return True
 

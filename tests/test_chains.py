@@ -30,12 +30,14 @@ from chainalg import (
 from chainalg.basis import enumerate_generators, in_b4
 from chainalg.bracket import TriangularClass, classify, sigma_left_expansion, sigma_right_expansion
 from chainalg.chains import (
+    Chain,
     TensorState,
     _act_gen_chain,
     all_chains,
     check_partition,
 )
 from chainalg.checks import _gg_left, random_element, random_generator, suite_identities
+from chainalg.core import KIND_F, KIND_L, KIND_R
 
 P11 = AlgebraParams(1, 1)
 P12 = AlgebraParams(1, 2)
@@ -360,7 +362,46 @@ def test_concrete_lowest_weight_vector_diagonal_eigenvalues():
 
 # ---------------------------------------------------------------------------
 # act and act_tensor try only the terms the element's index returns for a
-# chain; these tests compare them with the sum over every term
+# chain; these tests compare them with the sum over every term of the rule as
+# it was written on Chain objects
+
+
+def _reference_act_gen_chain(g, c: Chain):
+    """Yield (Chain, coeff) contributions of one generator on one chain."""
+    body = c.body
+    n = len(body)
+    if g.kind == KIND_F:
+        l1, l2, l3, l4 = g.flavors
+        if c.left == l2 and body == g.lower and c.right == l4:
+            yield Chain(l1, g.upper, l3), 1
+    elif g.kind == KIND_L:
+        l1, l2 = g.flavors
+        k = len(g.lower)
+        if c.left == l2 and body[:k] == g.lower:
+            yield Chain(l1, g.upper + body[k:], c.right), 1
+    elif g.kind == KIND_R:
+        # written out, not derived through mirror_gen: the right-end identity
+        # then checks this branch against the f branch, not a mirror copy
+        l1, l2 = g.flavors
+        k = len(g.lower)
+        if c.right == l2 and (k == 0 or body[-k:] == g.lower):
+            head = body[: n - k] if k else body
+            yield Chain(c.left, head + g.upper, l1), 1
+    else:
+        lo, up = g.lower, g.upper
+        if not lo and not up:
+            # length counter
+            yield c, n + 1
+        elif not lo:
+            # inserter: one copy of the upper word at every gap
+            for cut in range(n + 1):
+                yield Chain(c.left, body[:cut] + up + body[cut:], c.right), 1
+        else:
+            # match every occurrence of the lower word, substitute the upper
+            k = len(lo)
+            for start in range(n - k + 1):
+                if body[start : start + k] == lo:
+                    yield Chain(c.left, body[:start] + up + body[start + k :], c.right), 1
 
 
 def _act_every_term(e, psi):
@@ -370,7 +411,7 @@ def _act_every_term(e, psi):
             (out, coeff * w * mult)
             for c, w in psi
             for g, coeff in e
-            for out, mult in _act_gen_chain(g, c)
+            for out, mult in _reference_act_gen_chain(g, c)
         ),
     )
 
@@ -383,7 +424,7 @@ def _act_tensor_every_term(e, psi):
             for tup, w in psi
             for slot, c in enumerate(tup)
             for g, coeff in e
-            for out, mult in _act_gen_chain(g, c)
+            for out, mult in _reference_act_gen_chain(g, c)
         ),
     )
 
@@ -451,6 +492,22 @@ def test_indexed_action_matches_every_term(params):
     for psi in (everything, fractional):
         _assert_same_action(act(zero, psi), zero)
         assert act_tensor(zero, tensor_state(params, (chains[0], chains[-1]))) == zero
+
+
+@pytest.mark.parametrize("params", [P11, P21, P12, P22], ids=lambda p: f"{p.colors},{p.flavors}")
+def test_field_rule_matches_the_chain_rule(params):
+    # same outputs, multiplicities and order as the rule written on Chain objects
+    gens = list(enumerate_generators(params, 3)) + _edge_terms(params)
+    gens += _long_lower_terms(params, 4)
+    chains = list(all_chains(params, 4))
+    yielded = 0
+    for g in gens:
+        for c in chains:
+            got = list(_act_gen_chain(g, c.left, c.body, c.right))
+            want = [((o.left, o.body, o.right), m) for o, m in _reference_act_gen_chain(g, c)]
+            assert got == want, (g, c)
+            yielded += len(got)
+    assert yielded > len(chains)
 
 
 def test_dropping_an_expansion_term_is_seen():
@@ -611,15 +668,22 @@ def test_equal_on_chains_skips_chains_no_term_reads(monkeypatch):
 
     lhs, rhs = _gg_left(P22, 1, 2, (1,), (2,), 5)
     assert len(list(all_chains(P22, 5))) == 252
-    calls = []
+    built, calls = [], []
+
+    class CountingChain(chains.Chain):
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
 
     def counting(e, psi):
         calls.append(psi)
         return act(e, psi)
 
     monkeypatch.setattr(chains, "act", counting)
+    monkeypatch.setattr(chains, "Chain", CountingChain)
     assert equal_on_chains(lhs, rhs, 5)
-    assert 0 < len(calls) < 252
+    # the probed chains only are built: the action's outputs all cancel
+    assert 0 < len(calls) == len(built) < 252
 
 
 def test_equal_on_chains_rejects_a_negative_length():
