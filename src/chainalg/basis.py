@@ -19,6 +19,9 @@ such identities, chosen so that g cancels:
   b4  r(1,1)[I|], I = () or 1...  right padding of s[I|] less the left
                                   padding of s[rotate(I)|]
 The 1-block paddings telescope, so the whole block goes in one step.
+Iterated until only kind-f generators are left, the identity writes any
+operator as its whole-chain sum (whole_chain_sum), finite on chains of
+bounded length.
 Every other generator outside a basis is the chain-reversal (mirror_gen)
 or omega image (upper and lower data swapped) of one of these: both
 bases are omega-invariant, and b4 breaks mirror invariance only at
@@ -108,6 +111,27 @@ def padding(g: Generator, params: AlgebraParams, right: bool = True) -> list:
         else:
             gens.append(Generator(KIND_F, up, lo, fl + (m, m) if right else (m, m) + fl))
     return gens
+
+
+def whole_chain_sum(g: Generator, params: AlgebraParams, max_len: int) -> Element:
+    """The kind-f generators whose sum acts as g on every chain of body length <= max_len.
+
+    Pads g at its open end (right for l and s, left for r), then each padding
+    generator in turn, keeping the f ones; a generator whose lower word is
+    longer than max_len acts on no such chain and is dropped.  Each (left,
+    right, flavor) padding is reached once, so a term's coefficient is the
+    number of paddings that build it.
+    """
+    items, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        if len(h.lower) > max_len:
+            continue
+        if h.kind == KIND_F:
+            items.append((h, 1))
+        else:
+            todo += padding(h, params, right=h.kind != KIND_R)
+    return Combination.from_items(params, items)
 
 
 def _vanishing(whole: Generator, params: AlgebraParams, right=True, sign=1) -> list:

@@ -71,19 +71,6 @@ def is_extended_sigma(g: Generator) -> bool:
     return g.kind == KIND_S and (not g.upper or not g.lower)
 
 
-def sigma_left_expansion(g: Generator, params: AlgebraParams) -> Element:
-    """s[I|J] as its left padding: interior operators one step longer plus
-    left-end operators.  Acts identically on every chain; applicable to any
-    index sequences, in particular the extended ones.
-    """
-    return Combination.from_items(params, ((h, 1) for h in padding(g, params, False)))
-
-
-def sigma_right_expansion(g: Generator, params: AlgebraParams) -> Element:
-    """s[I|J] as its right padding, through the right end."""
-    return Combination.from_items(params, ((h, 1) for h in padding(g, params)))
-
-
 # ---------------------------------------------------------------------------
 # generator-pair brackets; each half takes the fields (I, J, fa, K, L, fb) of
 # a = (kind, I, J, fa) and b = (kind, K, L, fb) and yields the field tuples,

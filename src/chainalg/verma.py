@@ -19,9 +19,10 @@ input and hands the nonzero entries as sparse rows to core.congruence,
 whose steps never leave a block of the nonzero pattern; the radical rows
 it returns stay sparse.
 
-The truncated interior norm counts paddings through the chain action:
-the splitting count is a matrix element of an interior operator between
-two padded chains (chains.matrix_element), as the af weight sums are.
+The truncated interior operator is an interior operator less its
+whole-chain sum over bounded paddings (basis.whole_chain_sum).  A term of
+that sum with coefficient m stands for m paddings, and the interior
+operator reaches each of them in m ways, so its norm correction is m².
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import enumerate_generators, in_b4, to_b4
+from .basis import enumerate_generators, in_b4, to_b4, whole_chain_sum
 from .bracket import TriangularClass, bracket, bracket_gen, classify, index_words
-from .chains import Chain, act_tensor, inner_chain, lowest_weight_vector_concrete, matrix_element
+from .chains import act_tensor, inner_chain, lowest_weight_vector_concrete
 from .core import (
     AlgebraParams,
     Combination,
     Element,
     Generator,
     _as_fraction,
-    all_seqs,
     charge,
     congruence,
     gen_f,
@@ -242,52 +242,25 @@ def sl2_triple(upper, lower, flavors, params: AlgebraParams):
 # ---------------------------------------------------------------------------
 # truncated interior operators and their norms
 
-def _splitting_count(upper, lower, left, right) -> int:
-    """Number of ways s[upper|lower] turns the padded lower word into the padded upper one."""
-    return matrix_element(
-        gen_s(upper, lower), Chain(1, left + lower + right, 1), Chain(1, left + upper + right, 1)
-    )
-
-
-def _padding_pairs(params: AlgebraParams, depth: int):
-    for left in all_seqs(params, depth):
-        for right in all_seqs(params, depth - len(left)):
-            yield left, right
-
-
-def truncated_interior_element(upper, lower, depth: int, params: AlgebraParams) -> Element:
-    """Interior operator minus its whole-chain corrections up to a padding depth."""
-    upper, lower = tuple(upper), tuple(lower)
-    items = [(gen_s(upper, lower), Fraction(1))]
-    for left, right in _padding_pairs(params, depth):
-        for l1 in params.flavor_range():
-            for l2 in params.flavor_range():
-                items.append(
-                    (gen_f(l1, l1, l2, l2, left + upper + right, left + lower + right), -1)
-                )
-    return Combination.from_items(params, items)
-
-
 def truncated_interior_norm_check(upper, lower, depth, gamma, params: AlgebraParams) -> bool:
     """Norm identity for the truncated interior operator on a partition weight.
 
-    The interior pairing minus the padded whole-chain corrections must be
-    non-negative and must equal the squared norm of the truncated
-    operator applied to the concrete symmetrized tensor vector.
+    The truncated operator is s[I|J] less C, its whole-chain sum over the
+    paddings of total length <= depth.  A term f(a,a;b,b)[U|L] of C with
+    coefficient m corrects the interior pairing by m² (h_I(a,L,b) - h_I(a,U,b)).
+    The corrected pairing must be non-negative and must equal the squared
+    norm of the truncated operator applied to the concrete symmetrized
+    tensor vector.
     """
-    upper, lower = tuple(upper), tuple(lower)
+    g = gen_s(upper, lower)
     w = weight_from_partition(gamma, params)
-    sigma = Combination.term(params, gen_s(upper, lower))
+    sigma = Combination.term(params, g)
+    corrections = whole_chain_sum(g, params, depth + len(g.lower))
     value = hermitian_form([sigma], [sigma], w)
-    for left, right in _padding_pairs(params, depth):
-        s = _splitting_count(upper, lower, left, right)
-        for l1 in params.flavor_range():
-            for l2 in params.flavor_range():
-                value -= s * (
-                    w.h_I(l1, left + lower + right, l2)
-                    - w.h_I(l1, left + upper + right, l2)
-                )
+    for f, m in corrections:
+        a, _, b, _ = f.flavors
+        value -= m * m * (w.h_I(a, f.lower, b) - w.h_I(a, f.upper, b))
     v = lowest_weight_vector_concrete(gamma, params)
-    image = act_tensor(truncated_interior_element(upper, lower, depth, params), v)
+    image = act_tensor(sigma - corrections, v)
     concrete = inner_chain(image, image) / inner_chain(v, v)
     return value == concrete and value >= 0

@@ -46,6 +46,7 @@ from chainalg.checks import (
 from chainalg.core import Generator, seq_key
 from chainalg.verma import pbw_words
 from chainalg.weights import Weight, free_weight_from_af
+from padded_sums import padded
 
 ALL_PARAMS = (
     AlgebraParams(1, 1),
@@ -118,15 +119,13 @@ def test_criterion_04_basis_soundness():
             ok = False
             break
     # canonical-form equality decides action equality on constructed pairs
-    from chainalg.bracket import sigma_left_expansion, sigma_right_expansion
-
     p = AlgebraParams(2, 1)
     for _ in range(50):
         e = random_element(rng, p)
         terms = list(e.items())
         g, c = terms[rng.randrange(len(terms))]
         if g.kind == "s":
-            expansion = rng.choice((sigma_left_expansion, sigma_right_expansion))(g, p)
+            expansion = padded(g, p, right=rng.choice((False, True)))
             e2 = e - element(p, (c, g)) + expansion.scaled(c)
         else:
             e2 = to_b4(e)

@@ -1,6 +1,7 @@
 """Basis membership, rewriting soundness, exact independence."""
 
 import hashlib
+import itertools
 import random
 from functools import partial
 
@@ -29,8 +30,8 @@ from chainalg.basis import (
     padding,
     to_b0_gen,
     to_b4_gen,
+    whole_chain_sum,
 )
-from chainalg.bracket import sigma_left_expansion, sigma_right_expansion
 from chainalg.checks import random_element, random_generator
 from chainalg.core import (
     KIND_F,
@@ -49,6 +50,7 @@ from chainalg.core import (
     render_element,
     trailing_ones,
 )
+from padded_sums import padded, reference_interior_sum, reference_left_end_sum
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
@@ -177,7 +179,7 @@ def _equal_pair(rng, params):
     items = list(e.items())
     g, c = items[rng.randrange(len(items))]
     if g.kind == "s":
-        expand = rng.choice((sigma_left_expansion, sigma_right_expansion))(g, params)
+        expand = padded(g, params, right=rng.choice((False, True)))
     elif g.kind == "l":
         cands = [(gen_l(*g.flavors, g.upper + (j,), g.lower + (j,)), 1) for j in params.color_range()]
         cands += [
@@ -320,11 +322,34 @@ def test_padding_acts_as_the_generator(params):
     checked = 0
     for g in enumerate_generators(params, 3):
         for right in _open_ends(g):
-            pad = Combination.from_items(params, ((h, 1) for h in padding(g, params, right)))
+            pad = padded(g, params, right)
             assert len(pad) == params.colors + params.flavors
             assert equal_on_chains(element(params, g), pad, 5), (g, right)
             checked += 1
     assert checked
+
+
+def _short(e, max_len):
+    """The terms of e whose lower word has length <= max_len."""
+    return Combination.from_items(e.params, ((g, c) for g, c in e if len(g.lower) <= max_len))
+
+
+@pytest.mark.parametrize(
+    "params", [P11, P21, AlgebraParams(1, 2), P22], ids=lambda p: f"{p.colors},{p.flavors}"
+)
+def test_whole_chain_sum_matches_the_written_out_sums(params):
+    fl = params.flavor_range()
+    pairs = [(up, lo) for up in all_seqs(params, 3) for lo in all_seqs(params, 3 - len(up))]
+    for (up, lo), max_len in itertools.product(pairs, range(5)):
+        for l1, l2 in itertools.product(fl, fl):
+            _, left_end = reference_left_end_sum(params, l1, l2, up, lo, max_len)
+            want = _short(left_end, max_len)
+            assert whole_chain_sum(gen_l(l1, l2, up, lo), params, max_len) == want
+            _, left_end = reference_left_end_sum(params, l1, l2, up[::-1], lo[::-1], max_len)
+            want = mirror(_short(left_end, max_len))
+            assert whole_chain_sum(gen_r(l1, l2, up, lo), params, max_len) == want
+        interior = reference_interior_sum(up, lo, max_len, params)
+        assert whole_chain_sum(gen_s(up, lo), params, max_len) == _short(interior, max_len)
 
 
 # _b0_step and _b4_step as each rule was written out term by term before the

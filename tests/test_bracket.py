@@ -42,7 +42,6 @@ from chainalg.bracket import (
     bracket_gen,
     index_words,
     is_extended_sigma,
-    sigma_left_expansion,
 )
 from chainalg.chains import Chain, act, all_chains, chain_state, equal_on_chains
 from chainalg.core import (
@@ -65,6 +64,7 @@ from chainalg.checks import (
     random_generator,
     suite_jacobi,
 )
+from padded_sums import padded
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -474,9 +474,9 @@ def _reference_row(half, a, b, params):
 
 def _reference_bracket_gen(a, b, params):
     if is_extended_sigma(a):
-        return _reference_bracket(sigma_left_expansion(a, params), element(params, b), params)
+        return _reference_bracket(padded(a, params, right=False), element(params, b), params)
     if is_extended_sigma(b):
-        return _reference_bracket(element(params, a), sigma_left_expansion(b, params), params)
+        return _reference_bracket(element(params, a), padded(b, params, right=False), params)
     if (a.kind, b.kind) not in _REFERENCE_ROWS:
         return -_reference_bracket_gen(b, a, params)
     half, mirrored = _REFERENCE_ROWS[a.kind, b.kind]

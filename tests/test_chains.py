@@ -28,7 +28,7 @@ from chainalg import (
     young_project,
 )
 from chainalg.basis import enumerate_generators, in_b4
-from chainalg.bracket import TriangularClass, classify, sigma_left_expansion, sigma_right_expansion
+from chainalg.bracket import TriangularClass, classify
 from chainalg.chains import (
     Chain,
     TensorState,
@@ -36,8 +36,9 @@ from chainalg.chains import (
     all_chains,
     check_partition,
 )
-from chainalg.checks import _gg_left, random_element, random_generator, suite_identities
-from chainalg.core import KIND_F, KIND_L, KIND_R
+from chainalg.checks import random_element, random_generator, suite_identities
+from chainalg.core import KIND_F, KIND_L, KIND_R, Generator
+from padded_sums import padded, reference_left_end_sum
 
 P11 = AlgebraParams(1, 1)
 P12 = AlgebraParams(1, 2)
@@ -278,8 +279,8 @@ def test_interior_expansions_act_identically():
         while g.kind != "s":
             g = random_generator(rng, P22)
         e = element(P22, g)
-        assert equal_on_chains(e, sigma_left_expansion(g, P22), 4)
-        assert equal_on_chains(e, sigma_right_expansion(g, P22), 4)
+        assert equal_on_chains(e, padded(g, P22, right=False), 4)
+        assert equal_on_chains(e, padded(g, P22), 4)
 
 
 def test_action_is_a_homomorphism():
@@ -514,7 +515,7 @@ def test_dropping_an_expansion_term_is_seen():
     for params in (P21, P22):
         for g in (gen_s((1,), (2,)), gen_s((2, 1), (1,)), gen_s((1,), ()), gen_s((), (2,))):
             sigma = element(params, g)
-            expansion = sigma_left_expansion(g, params)
+            expansion = padded(g, params, right=False)
             assert equal_on_chains(sigma, expansion, 4)
             for h, c in expansion:
                 assert not equal_on_chains(sigma, expansion - element(params, (c, h)), 4)
@@ -568,7 +569,7 @@ def test_equal_on_chains_sees_a_tiny_coefficient():
     sigma = gen_s((1,), (2,))
     seventh = Fraction(1, 7)
     assert equal_on_chains(
-        element(P22, (seventh, sigma)), sigma_left_expansion(sigma, P22).scaled(seventh), 4
+        element(P22, (seventh, sigma)), padded(sigma, P22, right=False).scaled(seventh), 4
     )
 
 
@@ -653,8 +654,9 @@ def test_equal_on_chains_matches_acting_on_every_chain(params):
         a = random_element(rng, params, max_terms=3, max_seq=3) + element(params, *extra)
         g = rng.choice(list(a.keys()) + gens)
         b = a + element(params, (tiny, g))  # differs from a on one term only
-        expansion = sigma_left_expansion(gen_s((1,), (params.colors,)), params)
-        lhs, rhs = _gg_left(params, 1, params.flavors, (1,), (params.colors,), max_len)
+        expansion = padded(gen_s((1,), (params.colors,)), params, right=False)
+        top = params.flavors
+        lhs, rhs = reference_left_end_sum(params, 1, top, (1,), (params.colors,), max_len)
         for x, y in ((a, b), (b, a), (a, a.scaled(1 + tiny)), (expansion, b - a),
                      (lhs, rhs), (lhs + a, rhs + b), (lhs, rhs + element(params, (tiny, g)))):
             want = _equal_on_every_chain(x, y, max_len)
@@ -666,7 +668,7 @@ def test_equal_on_chains_matches_acting_on_every_chain(params):
 def test_equal_on_chains_skips_chains_no_term_reads(monkeypatch):
     from chainalg import chains
 
-    lhs, rhs = _gg_left(P22, 1, 2, (1,), (2,), 5)
+    lhs, rhs = reference_left_end_sum(P22, 1, 2, (1,), (2,), 5)
     assert len(list(all_chains(P22, 5))) == 252
     built, calls = [], []
 
@@ -688,9 +690,54 @@ def test_equal_on_chains_skips_chains_no_term_reads(monkeypatch):
 
 def test_equal_on_chains_rejects_a_negative_length():
     e = element(P22, gen_s((1,), (2,)))
-    for a, b in ((e, e), (e, e.scaled(2)), (e, sigma_left_expansion(gen_s((1,), (2,)), P22))):
+    for a, b in ((e, e), (e, e.scaled(2)), (e, padded(gen_s((1,), (2,)), P22, right=False))):
         with pytest.raises(ValueError, match="max_len"):
             equal_on_chains(a, b, -1)
     assert equal_on_chains(e, e + element(P22, gen_l(1, 1, (), (1,))), 0)
     with pytest.raises(ValueError, match="max_len"):
         suite_identities(P22, max_len=-1)
+
+
+# ---------------------------------------------------------------------------
+# the identity suite sees a wrong padding and a wrong end-operator action
+
+
+def test_identity_suite_fails_on_mutants(monkeypatch):
+    from chainalg import basis, chains
+
+    def failing():
+        return [p for p in (P11, P21, P12, P22) if not suite_identities(p, max_len=3)[0]]
+
+    padding = basis.padding
+
+    def transposed_r_closers(g, params, right=True):
+        # the left padding of r(a,b) closes with f(m,m;b,a), not f(m,m;a,b)
+        gens = padding(g, params, right)
+        if g.kind != KIND_R or right:
+            return gens
+        return [
+            Generator(KIND_F, h.upper, h.lower, h.flavors[1::-1] + h.flavors[:1:-1])
+            if h.kind == KIND_F
+            else h
+            for h in gens
+        ]
+
+    assert failing() == []
+    # whole_chain_sum reads padding from basis; with one flavor the mutant changes nothing
+    monkeypatch.setattr(basis, "padding", transposed_r_closers)
+    assert failing() == [P12, P22]
+    monkeypatch.undo()
+
+    rule = chains._act_gen_chain
+    for kind in (KIND_R, KIND_L):
+
+        def kept_end_flavor(g, left, body, right, kind=kind):
+            # r keeps the chain's right flavor, l its left flavor
+            for (lf, out, rf), m in rule(g, left, body, right):
+                if g.kind == kind:
+                    lf, rf = (left, rf) if kind == KIND_L else (lf, right)
+                yield (lf, out, rf), m
+
+        monkeypatch.setattr(chains, "_act_gen_chain", kept_end_flavor)
+        assert not suite_identities(P12, max_len=3)[0], kind
+        monkeypatch.undo()

@@ -28,8 +28,8 @@ from chainalg import (
 )
 from chainalg.basis import to_b0, to_b4
 from chainalg.bracket import TriangularClass, bracket_gen, classify
-from chainalg.chains import act_tensor
-from chainalg.core import _as_fraction, charge, gen_key
+from chainalg.chains import Chain, act_tensor, matrix_element
+from chainalg.core import _as_fraction, all_seqs, charge, gen_key
 from chainalg.checks import random_generator
 from chainalg.verma import (
     VermaState,
@@ -39,6 +39,7 @@ from chainalg.verma import (
     word_size,
 )
 from chainalg.weights import Weight
+from padded_sums import padding_pairs, reference_interior_sum
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
@@ -554,28 +555,57 @@ def test_truncated_interior_norm_examples():
     assert truncated_interior_norm_check((2,), (1,), 0, (), P21)
 
 
+# the truncated interior norm as it was written out before it read its
+# corrections off basis.whole_chain_sum: one correction per padding pair,
+# weighed by the number of ways the interior operator reaches that pair
+
+def _splitting_count(upper, lower, left, right) -> int:
+    """Number of ways s[upper|lower] turns the padded lower word into the padded upper one."""
+    return matrix_element(
+        gen_s(upper, lower), Chain(1, left + lower + right, 1), Chain(1, left + upper + right, 1)
+    )
+
+
+def _reference_pairing(upper, lower, depth, w):
+    """The interior pairing less the padded whole-chain corrections."""
+    sigma = element(w.params, gen_s(upper, lower))
+    value = hermitian_form([sigma], [sigma], w)
+    for left, right in padding_pairs(w.params, depth):
+        s = _splitting_count(upper, lower, left, right)
+        for l1 in w.params.flavor_range():
+            for l2 in w.params.flavor_range():
+                value -= s * (
+                    w.h_I(l1, left + lower + right, l2) - w.h_I(l1, left + upper + right, l2)
+                )
+    return value
+
+
+def _reference_norm_check(upper, lower, depth, gamma, params):
+    value = _reference_pairing(upper, lower, depth, weight_from_partition(gamma, params))
+    sigma = element(params, gen_s(upper, lower))
+    v = lowest_weight_vector_concrete(gamma, params)
+    image = act_tensor(sigma - reference_interior_sum(upper, lower, depth, params), v)
+    return value == inner_chain(image, image) / inner_chain(v, v) and value >= 0
+
+
 def test_truncated_interior_norm_stabilizes():
-    from chainalg.verma import truncated_interior_element
-    from chainalg.weights import weight_from_partition as wfp
+    w = weight_from_partition((1,), P21)
+    assert _reference_pairing((2,), (1,), 2, w) == _reference_pairing((2,), (1,), 3, w)
 
-    w = wfp((1,), P21)
-    gamma = (1,)
-    vals = []
-    for depth in (2, 3):
-        sigma = element(P21, gen_s((2,), (1,)))
-        value = hermitian_form([sigma], [sigma], w)
-        from chainalg.verma import _padding_pairs, _splitting_count
 
-        for left, right in _padding_pairs(P21, depth):
-            s = _splitting_count((2,), (1,), left, right)
-            for l1 in P21.flavor_range():
-                for l2 in P21.flavor_range():
-                    value -= s * (
-                        w.h_I(l1, left + (1,) + right, l2)
-                        - w.h_I(l1, left + (2,) + right, l2)
-                    )
-        vals.append(value)
-    assert vals[0] == vals[1]
+def test_truncated_interior_norm_matches_the_written_out_sum():
+    verdicts = []
+    for params in (P11, P21, P12):
+        seqs = list(all_seqs(params, 2))
+        for up in seqs:
+            for lo in seqs:
+                for depth in range(3):
+                    for gamma in ((), (1,), (2,), (1, 1)):
+                        if up or lo:
+                            got = truncated_interior_norm_check(up, lo, depth, gamma, params)
+                            assert got == _reference_norm_check(up, lo, depth, gamma, params)
+                            verdicts.append(got)
+    assert (verdicts.count(True), verdicts.count(False)) == (656, 112)
 
 
 def test_raising_letters_are_b4_raising():
