@@ -39,7 +39,6 @@ from .core import (
     KIND_F,
     KIND_L,
     KIND_R,
-    KIND_S,
     AlgebraParams,
     Combination,
     Element,

@@ -11,9 +11,10 @@ Grammar (whitespace insignificant)::
     pair     := '(' n ',' n ')'
     seq      := empty | integer (',' integer)*
 
-The parser reads each atom along its form in ``core._ATOM_FORMS``, which
-the renderers fill in; the forms are built from each kind's flavor count,
-``core._N_FLAVORS``.  Integers are ASCII digits; any character but ASCII
+The reader works on the text at a position, one token ahead, and reads
+each atom along its form in ``core._ATOM_FORMS``, which the renderers fill
+in.  A sequence's integers are read with one match, each through
+``core._read_number``.  Integers are ASCII digits; any character but ASCII
 letters, digits, whitespace and the grammar's symbols is a syntax error,
 and numbers in flags, ``--gamma`` and weight files are ASCII as well.
 
@@ -56,21 +57,13 @@ class ExprSyntaxError(ValueError):
         self.column = column
 
 
+# the first character outside the grammar's alphabet; the next token after any
+# whitespace (no group at the end of the input); the integers of a sequence
+_BAD = re.compile(r"[^0-9A-Za-z()\[\]|,;*/+\-\s]", re.ASCII)
 _TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[()\[\]|,;*/+-])|(?P<space>\s+)|(?P<bad>.)",
-    re.ASCII | re.DOTALL,
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[()\[\]|,;*/+-]))?", re.ASCII
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ExprSyntaxError(m.start() + 1, f"unexpected character {m.group()!r}")
-        if m.lastgroup != "space":
-            tokens.append((m.lastgroup, m.group(), m.start() + 1))
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+_SEQ = re.compile(r"[0-9]+(?:\s*,\s*[0-9]+)*", re.ASCII)
 
 
 class Expression:
@@ -91,84 +84,87 @@ class Expression:
         return Combination.from_items(self.params, ((a, c) for c, a in self.terms))
 
 
-class _Parser:
+class _Reader:
+    """Reads an expression from its text at a position, one token ahead."""
+
     def __init__(self, text: str, params: AlgebraParams):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.params = params
+        bad = _BAD.search(text)
+        if bad:
+            raise ExprSyntaxError(bad.start() + 1, f"unexpected character {bad.group()!r}")
+        self.text, self.params, self.pos = text, params, 0
+        self._next()
 
-    def _peek(self):
-        return self.tokens[self.pos]
+    def _next(self):
+        """Take the token after pos as (kind, text, column); past the last one it is 'end'."""
+        m = _TOKEN.match(self.text, self.pos)
+        self.pos = m.end()
+        kind = m.lastgroup
+        self.tok = (kind, m[kind], m.start(kind) + 1) if kind else ("end", "", self.pos + 1)
 
-    def _advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def _skip(self, sym: str) -> bool:
+        """Take the symbol sym if it comes next."""
+        if self.tok[:2] != ("sym", sym):
+            return False
+        self._next()
+        return True
 
     def _expect_sym(self, sym: str):
-        kind, val, col = self._peek()
-        if kind != "sym" or val != sym:
-            raise ExprSyntaxError(col, f"expected {sym!r}")
-        return self._advance()
+        if not self._skip(sym):
+            raise ExprSyntaxError(self.tok[2], f"expected {sym!r}")
 
     def _expect_int(self) -> int:
-        kind, val, col = self._peek()
+        kind, val, col = self.tok
         if kind != "int":
             raise ExprSyntaxError(col, "expected an integer")
-        self._advance()
-        try:
-            return _read_number(val)
-        except ValueError as err:  # only the digit limit rejects an ASCII digit run
-            raise ExprSyntaxError(col, str(err)) from None
+        self._next()
+        return self._number(val, col - 1)
 
-    def _at_sym(self, sym: str) -> bool:
-        kind, val, _ = self._peek()
-        return kind == "sym" and val == sym
+    def _number(self, digits: str, at: int) -> int:
+        """Read a digit run that starts, after any whitespace, at text offset at."""
+        try:
+            return _read_number(digits)
+        except ValueError as err:  # only the digit limit rejects an ASCII digit run
+            raise ExprSyntaxError(at + len(digits) - len(digits.lstrip()) + 1, str(err)) from None
 
     def parse(self) -> Expression:
-        if [tok[:2] for tok in self.tokens] == [("int", "0"), ("end", "")]:
+        if self.text.strip() == "0":
             return Expression(self.params, [])  # the printed form of zero
-        terms = []
-        sign = 1
-        if self._at_sym("-"):
-            self._advance()
-            sign = -1
-        terms.append(self._term(sign))
-        while True:
-            kind, val, col = self._peek()
-            if kind == "end":
-                break
-            if kind == "sym" and val in "+-":
-                self._advance()
-                terms.append(self._term(1 if val == "+" else -1))
-            else:
+        terms = [self._term(-1 if self._skip("-") else 1)]
+        while self.tok[0] != "end":
+            kind, val, col = self.tok
+            if kind != "sym" or val not in "+-":
                 raise ExprSyntaxError(col, "expected '+', '-' or end of input")
+            self._next()
+            terms.append(self._term(1 if val == "+" else -1))
         return Expression(self.params, terms)
 
     def _term(self, sign: int):
         coeff = Fraction(sign)
-        kind, _val, _col = self._peek()
-        if kind == "int":
-            num = self._expect_int()
-            den = 1
-            if self._at_sym("/"):
-                self._advance()
+        if self.tok[0] == "int":
+            num, den = self._expect_int(), 1
+            if self._skip("/"):
+                col = self.tok[2]
                 den = self._expect_int()
                 if den == 0:
-                    raise ExprSyntaxError(self.tokens[self.pos - 1][2], "zero denominator")
+                    raise ExprSyntaxError(col, "zero denominator")
             coeff *= Fraction(num, den)
             self._expect_sym("*")
-        atom = self._atom()
-        return (coeff, atom)
+        return (coeff, self._atom())
 
     def _seq(self) -> tuple:
-        kind, _val, _col = self._peek()
+        """Read the integers of a sequence with one match, each at its offset."""
+        kind, _val, col = self.tok
         if kind != "int":
             return ()
-        out = [self._expect_int()]
-        while self._at_sym(","):
-            self._advance()
-            out.append(self._expect_int())
+        m = _SEQ.match(self.text, col - 1)
+        out, at = [], m.start()
+        for digits in m[0].split(","):
+            out.append(self._number(digits, at))
+            at += len(digits) + 1
+        self.pos = m.end()
+        self._next()
+        if self._skip(","):  # the match took every integer after a comma, so this raises
+            self._expect_int()
         return tuple(out)
 
     def _fields(self, form: str) -> list:
@@ -184,10 +180,10 @@ class _Parser:
         return fields
 
     def _atom(self):
-        kind, val, col = self._peek()
+        kind, val, col = self.tok
         if kind != "name":
             raise ExprSyntaxError(col, "expected a generator or chain atom")
-        self._advance()
+        self._next()
         if val not in _ATOM_FORMS:
             raise ExprSyntaxError(col, f"unknown atom {val!r}")
         fields = self._fields(_ATOM_FORMS[val])
@@ -203,7 +199,7 @@ class _Parser:
 
 def parse(text: str, params: AlgebraParams) -> Expression:
     """Parse an expression; raises ExprSyntaxError or IndexRangeError."""
-    return _Parser(text, params).parse()
+    return _Reader(text, params).parse()
 
 
 def render_chain_state(state: Combination) -> str:

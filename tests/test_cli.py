@@ -5,6 +5,7 @@ import hashlib
 import os
 import pathlib
 import random
+import re
 import string
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from chainalg.checks import random_element
 from chainalg.cli import ExprSyntaxError, _build_argparser, main, parse, render_chain_state
 from chainalg.core import Combination, render_element
 from chainalg.weights import read_weight
+from token_parser import _Parser
 
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
@@ -153,6 +155,67 @@ def test_expression_boundary_golden():
         lines.append(f"{text!r} {as_element} {as_state}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "3191212dc72bc34ee549f6701632517bf17e2940953c667624a76d524650d402"
+
+
+def _edited_corpus():
+    """Renders of elements and chain states at four parameter sets, each with 0-3
+    edits, and one in ten then given an overlong digit run at a coefficient, at a
+    flavor index or inside a sequence."""
+    rng = random.Random(20261021)
+    run = "7" * (sys.get_int_max_str_digits() + 1)
+    pieces = [*"()[]|,;*/+-", *string.digits, *string.ascii_letters, "chain", "\t", "\n"]
+    pieces += ["$", "\u00e9", "\u0663", "_"]
+    # a run's site and its text there: a coefficient, a flavor index, the first or
+    # the last integer of a sequence
+    sites = [
+        (r"(?:^| [+-] )", "{}*"), (r"(?<=\()(?=[0-9])", "{}"),
+        (r"(?<=[\[|])(?=[0-9])", "{},"), (r"(?<=[0-9])(?=[|\]])", ",{}"),
+    ]
+    for params in (AlgebraParams(1, 1), AlgebraParams(2, 1), P22, AlgebraParams(3, 2)):
+        for n in range(5000):
+            if n % 2:
+                text = render_element(random_element(rng, params, max_terms=3, max_seq=3))
+            else:
+                items = []
+                for _ in range(rng.randint(1, 3)):
+                    ends = [rng.randint(1, params.flavors) for _ in range(2)]
+                    body = [rng.randint(1, params.colors) for _ in range(rng.randint(0, 4))]
+                    items.append((chain(ends[0], body, ends[1]), Fraction(rng.randint(-3, 3) or 1)))
+                text = render_chain_state(Combination.from_items(params, items))
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(text) + 1)
+                op = rng.randrange(3)
+                piece = "" if op == 1 else rng.choice(pieces)
+                text = text[:i] + piece + text[i + (op != 0):]
+            if n % 10 == 0:
+                site, form = rng.choice(sites)
+                at = [m.end() for m in re.finditer(site, text)]
+                if at:
+                    i = rng.choice(at)
+                    text = text[:i] + form.format(run) + text[i:]
+            yield params, text
+
+
+def _terms_or_error(read, text, params):
+    try:
+        return read(text, params).terms
+    except ValueError as err:
+        return type(err), getattr(err, "column", None), str(err)
+
+
+def test_reader_matches_token_parser():
+    # the in-place reader against the token-list parser it replaced, term for
+    # term, or error type, column and message
+    outcomes = []
+    for params, text in _edited_corpus():
+        new = _terms_or_error(parse, text, params)
+        old = _terms_or_error(lambda t, p: _Parser(t, p).parse(), text, params)
+        assert new == old, (text[:200], new, old)
+        outcomes.append(new)
+    assert len(outcomes) == 20000
+    parsed = sum(isinstance(o, list) for o in outcomes)
+    too_long = sum(isinstance(o, tuple) and o[2].endswith("digits is too long") for o in outcomes)
+    assert parsed > 4000 and too_long > 1000
 
 
 def test_cli_bracket_golden(capsys):
@@ -343,6 +406,21 @@ def test_cli_overlong_integer_is_a_column_syntax_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr, column",
+    [("s[1,{run}|1]", 5), ("s[1 ,\t{run}|1]", 7), ("l(1,{run})[1|1]", 5)],
+    ids=["sequence", "sequence-after-space", "flavor"],
+)
+def test_cli_overlong_integer_in_an_atom_names_its_column(expr, column, capsys):
+    # a run inside a sequence is read in one match; its column comes from its offset
+    code = main(["classify", expr.format(run="1" * 5000), "--lambda", "2", "--lambda-f", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"chainalg: syntax error at column {column}: integer of 5000 digits is too long\n"
+    )
+
+
+@pytest.mark.parametrize(
     "command", [["weight"], ["gram", "--max-size", "1"]], ids=["weight", "gram"]
 )
 def test_cli_overlong_gamma_part_names_the_flag(command, capsys):
@@ -522,6 +600,7 @@ def test_cli_rewrites_long_one_blocks():
         params = AlgebraParams(2, flavors)
         out = parse(proc.stdout.strip(), params).as_element()
         assert out.keys() and all(in_b4(g) for g in out.keys())
+        assert render_element(out) == proc.stdout.strip()
 
 
 @pytest.mark.parametrize(
