@@ -191,7 +191,7 @@ def _b4_step(g: Generator, params: AlgebraParams) -> Element:
     return Combination.from_items(params, items)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def to_b4_gen(g: Generator, params: AlgebraParams) -> Element:
     if in_b4(g):
         return Combination.term(params, g)

@@ -13,10 +13,11 @@ Grammar (whitespace insignificant)::
 
 The reader works on the text at a position, one token ahead, and reads
 each atom along its form in ``core._ATOM_FORMS``, which the renderers fill
-in.  A sequence's integers are read with one match, each through
-``core._read_number``.  Integers are ASCII digits; any character but ASCII
-letters, digits, whitespace and the grammar's symbols is a syntax error,
-and numbers in flags, ``--gamma`` and weight files are ASCII as well.
+in.  A sequence's integers are read with one match; only a match longer
+than int()'s digit limit reads each through ``core._read_number``.
+Integers are ASCII digits; any character but ASCII letters, digits,
+whitespace and the grammar's symbols is a syntax error, and numbers in
+flags, ``--gamma`` and weight files are ASCII as well.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 """
@@ -152,15 +153,18 @@ class _Reader:
         return (coeff, self._atom())
 
     def _seq(self) -> tuple:
-        """Read the integers of a sequence with one match, each at its offset."""
+        """Read the integers of a sequence with one match and one digit-limit test."""
         kind, _val, col = self.tok
         if kind != "int":
             return ()
         m = _SEQ.match(self.text, col - 1)
-        out, at = [], m.start()
-        for digits in m[0].split(","):
-            out.append(self._number(digits, at))
-            at += len(digits) + 1
+        items = m[0].split(",")
+        out = map(int, items)  # ASCII digit runs: only int()'s digit limit can reject one
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < len(m[0]):  # a run may exceed it
+            out, at = [], m.start()
+            for digits in items:
+                out.append(self._number(digits, at))
+                at += len(digits) + 1
         self.pos = m.end()
         self._next()
         if self._skip(","):  # the match took every integer after a comma, so this raises

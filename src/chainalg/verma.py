@@ -5,7 +5,9 @@ weakly descending in the generator ordering.  A letter multiplied onto a
 word is straightened by adjacent transpositions, each producing a
 commutator term on a strictly shorter word; diagonal letters reaching
 the vacuum evaluate through the weight tables, lowering letters
-annihilate it.
+annihilate it.  insert_letter memoises these states in an lru_cache of
+2^14 entries keyed by (letter, word, weight); a Weight hashes by
+identity, so two weights never share an entry.
 
 The contravariant form of two words is the vacuum coefficient of the
 first word's image under the anti-involution times the second word.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .basis import enumerate_generators, in_b4, to_b4, whole_chain_sum
 from .bracket import TriangularClass, bracket, bracket_gen, classify, index_words
@@ -77,31 +80,24 @@ def render_word(word: PbwWord) -> str:
 # ---------------------------------------------------------------------------
 # normal ordering
 
+@lru_cache(maxsize=1 << 14)
 def insert_letter(x: Generator, word: PbwWord, w: Weight) -> VermaState:
     """Normal-ordered state of x applied to an ordered word on the vacuum."""
-    key = (x, word)
-    hit = w.letter_memo.get(key)
-    if hit is not None:
-        return hit
     params = w.params
     cls = classify(x)
     if not word:
         if cls is TriangularClass.RAISING:
-            out = Combination.term(params, (x,))
-        elif cls is TriangularClass.DIAGONAL:
-            out = Combination.term(params, (), w.diagonal_eigenvalue(x))
-        else:
-            out = Combination.zero(params)
-    elif cls is TriangularClass.RAISING and gen_key(x) >= gen_key(word[0]):
-        out = Combination.term(params, (x,) + word)
-    else:
-        # x * head * rest = head * (x * rest) + [x, head] * rest
-        head, rest = word[0], word[1:]
-        swapped = insert_letter(x, rest, w).map(lambda u: insert_letter(head, u, w))
-        commutator = to_b4(bracket_gen(x, head, params))
-        out = swapped + commutator.map(lambda z: insert_letter(z, rest, w))
-    w.letter_memo[key] = out
-    return out
+            return Combination.term(params, (x,))
+        if cls is TriangularClass.DIAGONAL:
+            return Combination.term(params, (), w.diagonal_eigenvalue(x))
+        return Combination.zero(params)
+    if cls is TriangularClass.RAISING and gen_key(x) >= gen_key(word[0]):
+        return Combination.term(params, (x,) + word)
+    # x * head * rest = head * (x * rest) + [x, head] * rest
+    head, rest = word[0], word[1:]
+    swapped = insert_letter(x, rest, w).map(lambda u: insert_letter(head, u, w))
+    commutator = to_b4(bracket_gen(x, head, params))
+    return swapped + commutator.map(lambda z: insert_letter(z, rest, w))
 
 
 def apply_element(e: Element, state: VermaState, w: Weight) -> VermaState:

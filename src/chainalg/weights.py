@@ -4,7 +4,8 @@ A weight assigns a rational eigenvalue to every diagonal generator, one
 table per kind (whole-chain, left end, right end, interior).  The
 whole-chain table is stored as a constant tail value alpha plus finitely
 many deviations, so eventually-constant weights are closed form.  Every
-other eigenvalue is computed on demand from the tables, never stored.
+other eigenvalue is computed on demand from the tables, never stored: a
+Weight is plain data and holds no cache.
 
 Two modes:
 
@@ -101,8 +102,6 @@ class Weight:
         self.hII_table, self.hIII_table, self.hIV_table = _free_tables(self._free)
         if mode == "af" and self._free:
             raise ValueError("af mode derives the end and interior tables")
-        # verma.insert_letter results, keyed by (letter, word)
-        self.letter_memo: dict = {}
 
     # -- kind I ------------------------------------------------------------
     def h_I(self, l1: int, seq, l2: int) -> Fraction:

@@ -464,6 +464,10 @@ def test_integer_digit_limit_boundary(capsys):
     assert captured.err == (
         f"chainalg: syntax error at column 1: integer of {limit + 1} digits is too long\n"
     )
+    # a sequence longer than the limit in all, with no run longer than it
+    seq = ",".join("1" * (limit // 2 + 1))
+    (g,) = parse(f"s[{seq}|2]", P21).as_element().keys()
+    assert len(seq) > limit and g.upper == (1,) * (limit // 2 + 1)
     # weight-file values longer than the limit in all, with no run longer than it
     num, den = "7" * (limit // 2), "1" * (limit // 2)
     w = read_weight(f"lambda 2\nlambda_f 1\nmode free\nalpha -{'7' * limit}\nIV [2] {num}/{den}\n")

@@ -1,9 +1,10 @@
 """Module structure of the package: imports sit at module top and form no cycle,
-the caches are the ones listed in the README, no function takes an optional
-second copy of the algebra parameters, and no top-level code is there only for
-the tests."""
+the caches are the ones listed in the README and each is bounded, no function
+takes an optional second copy of the algebra parameters, and no top-level code
+is there only for the tests."""
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -71,8 +72,14 @@ def test_memo_inventory():
                     cached.add(f"{name}.{node.name}")
             elif isinstance(node, ast.Global):
                 with_global.add(name)
-    assert cached == {"bracket.bracket_gen", "basis.to_b4_gen"}
+    assert cached == {"bracket.bracket_gen", "basis.to_b4_gen", "verma.insert_letter"}
     assert with_global == {"chains"}
+    unbounded = set()
+    for name in cached:
+        module, func = name.split(".")
+        if getattr(importlib.import_module(f"chainalg.{module}"), func).cache_info().maxsize is None:
+            unbounded.add(name)
+    assert sorted(unbounded) == []  # every memo has a finite maxsize
 
 
 def test_no_params_argument_defaults_to_none():

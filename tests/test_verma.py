@@ -1,5 +1,6 @@
 """Normal ordering, contravariant form, Gram analysis, sl(2) data."""
 
+import copy
 import functools
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from chainalg import (
     vacuum,
     weight_from_partition,
 )
+from chainalg import verma
 from chainalg.basis import to_b0, to_b4
 from chainalg.bracket import TriangularClass, bracket_gen, classify
 from chainalg.chains import Chain, act_tensor, matrix_element
@@ -144,6 +146,24 @@ def test_gram_is_symmetric():
     for i in range(n):
         for j in range(n):
             assert gm[i, j] == gm[j, i]
+
+
+def test_letter_memo_evicts_and_keeps_weights_apart(monkeypatch):
+    # a 64-entry cache evicts throughout; interleaved weights of one
+    # AlgebraParams must still give the entries of the 2^14 cache
+    cases = [(weight_from_partition(gamma, P22), 2) for gamma in ((1,), (2,), (1, 1))]
+    cases.append((weight_from_partition((3,), P11), 6))
+    data = [copy.deepcopy(vars(w)) for w, _ in cases]
+    expected = [gram_matrix(w, size).entries for w, size in cases]
+    assert len({str(entries) for entries in expected[:3]}) == 3  # the weights differ
+    # a Weight is plain data: the memo lives in verma, not on the weight
+    assert [vars(w) for w, _ in cases] == data
+    tiny = functools.lru_cache(maxsize=64)(verma.insert_letter.__wrapped__)
+    monkeypatch.setattr(verma, "insert_letter", tiny)
+    for _ in range(2):
+        for (w, size), entries in zip(cases, expected):
+            assert gram_matrix(w, size).entries == entries
+    assert tiny.cache_info().misses > 64
 
 
 def test_inertia_examples():
