@@ -137,7 +137,12 @@ def suite_oracle(params, seed=0, cases=0, max_len=0):
         gm = gram_matrix(w, 2)
         v = lowest_weight_vector_concrete(gamma, params)
         norm = inner_chain(v, v)
-        images = [_act_word(word, v, params) for word in gm.words]
+        # words ascend in size, so () comes first and each word's tail before the word
+        letters = {x: Combination.term(params, x) for word in gm.words for x in word}
+        image = {(): v}
+        for word in gm.words[1:]:
+            image[word] = act_tensor(letters[word[0]], image[word[1:]])
+        images = [image[word] for word in gm.words]
         pairs = [(i, j) for i in range(len(images)) for j in range(i, len(images))]
         bad = sum(gm[i, j] != inner_chain(images[i], images[j]) / norm for i, j in pairs)
         total = len(pairs)
@@ -147,13 +152,6 @@ def suite_oracle(params, seed=0, cases=0, max_len=0):
         )
         ok = ok and bad == 0
     return ok, lines
-
-
-def _act_word(word, state, params):
-    out = state
-    for g in reversed(word):
-        out = act_tensor(Combination.term(params, g), out)
-    return out
 
 
 def commutator_of_actions_ok(a: Element, b: Element, max_len: int) -> bool:

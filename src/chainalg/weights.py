@@ -1,27 +1,28 @@
-"""Lowest-weight data: four diagonal eigenvalue tables and their closure.
+"""Lowest-weight data: one table of diagonal eigenvalues and its closure.
 
-A weight assigns a rational eigenvalue to every diagonal generator, one
-table per kind (whole-chain, left end, right end, interior).  The
-whole-chain table is stored as a constant tail value alpha plus finitely
-many deviations, so eventually-constant weights are closed form.  Every
-other eigenvalue is computed on demand from the tables, never stored: a
-Weight is plain data and holds no cache.
+A weight assigns a rational eigenvalue to every diagonal generator.  Its data
+is a constant tail alpha and one finite table {diagonal generator: value}: a
+whole-chain (kind f) generator's eigenvalue is alpha plus its table value, so
+eventually-constant weights are closed form.  Every other eigenvalue is
+computed on demand from the table, never stored: a Weight is plain data and
+holds no cache.
 
 Two modes:
 
-* ``af``  an end or interior eigenvalue is the whole-chain table
-  contracted with the generator's diagonal matrix elements on chains
-  (``chains.matrix_element``), a finite sum when the tail alpha is zero;
-  this is the weight of a Young-symmetrized tensor power of the defining
-  representation when the table comes from a partition.
-* ``free``  the tables on basis-b4 diagonal arguments are free finitely
-  supported data; any other diagonal generator equals its b4 rewrite
-  (``basis.to_b4``) in the algebra, so its eigenvalue is evaluated
-  through that rewrite.  A table entry outside b4 is rejected.
+* ``af``  the table holds whole-chain entries only; an end or interior
+  eigenvalue is that table contracted with the generator's diagonal matrix
+  elements on chains (``chains.matrix_element``), a finite sum when the tail
+  alpha is zero; this is the weight of a Young-symmetrized tensor power of the
+  defining representation when the table comes from a partition.
+* ``free``  the table's end and interior entries are free finitely supported
+  data on basis-b4 generators; any other diagonal generator equals its b4
+  rewrite (``basis.to_b4``) in the algebra, so its eigenvalue is evaluated
+  through that rewrite.  An entry outside b4 is rejected.
 
-Weights build on chains: a whole-chain entry (l1, body, l2) is the value on
-one chain, the weight file lists those entries in chains.chain_sort_key
-order, and a partition weight puts row k on the k-th chain of all_chains.
+Weights build on chains: the whole-chain generator f(l1,l1;l2,l2)[I|I] reads
+the value on the chain (l1, I, l2), the weight file lists those entries in
+chains.chain_sort_key order, and a partition weight puts row k on the k-th
+chain of all_chains.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .core import (
     _as_fraction,
     _read_number,
     all_seqs,
-    check_indices,
+    gen_f,
     gen_l,
     gen_r,
     gen_s,
@@ -63,28 +64,15 @@ class DivergentSumError(ValueError):
 
 
 class Weight:
-    """Lowest-weight tables over a fixed AlgebraParams; eigenvalues computed on demand."""
+    """Tail alpha and {diagonal generator: nonzero value}; insert_letter keys on its identity."""
 
-    def __init__(
-        self,
-        params: AlgebraParams,
-        alpha=0,
-        hI_table: dict | None = None,
-        mode: str = "af",
-        hII_table: dict | None = None,
-        hIII_table: dict | None = None,
-        hIV_table: dict | None = None,
-    ):
+    def __init__(self, params: AlgebraParams, alpha=0, table: dict | None = None, mode: str = "af"):
         if mode not in ("af", "free"):
             raise ValueError(f"unknown weight mode {mode!r}")
-        for l1, seq, l2 in hI_table or ():
-            check_indices(params, seq, (l1, l2))
-        free = {}  # diagonal generator -> stored eigenvalue
-        free.update((gen_l(l, l, seq, seq), v) for (l, seq), v in (hII_table or {}).items())
-        free.update((gen_r(l, l, seq, seq), v) for (seq, l), v in (hIII_table or {}).items())
-        free.update((gen_s(seq, seq), v) for seq, v in (hIV_table or {}).items())
-        for g in free:
-            g.validate(params)
+        for g in table or ():
+            _check_diagonal(g, params)
+            if mode == "af" and g.kind != KIND_F:
+                raise ValueError("af mode derives the end and interior tables")
             if mode == "free" and not in_b4(g):
                 raise ValueError(
                     f"free-mode entry {g!r} is outside basis b4; "
@@ -92,22 +80,12 @@ class Weight:
                 )
         self.params = params
         self.alpha = _as_fraction(alpha)
-        self.hI_table = {
-            (l1, tuple(seq), l2): _as_fraction(v)
-            for (l1, seq, l2), v in (hI_table or {}).items()
-            if v
-        }
         self.mode = mode
-        self._free = {g: _as_fraction(v) for g, v in free.items() if v}
-        self.hII_table, self.hIII_table, self.hIV_table = _free_tables(self._free)
-        if mode == "af" and self._free:
-            raise ValueError("af mode derives the end and interior tables")
+        self.table = {g: _as_fraction(v) for g, v in (table or {}).items() if v}
 
-    # -- kind I ------------------------------------------------------------
     def h_I(self, l1: int, seq, l2: int) -> Fraction:
-        return self.alpha + self.hI_table.get((l1, tuple(seq), l2), Fraction(0))
+        return self.diagonal_eigenvalue(_whole_chain(l1, seq, l2))
 
-    # -- kinds II, III, IV -----------------------------------------------------
     def h_II(self, l: int, seq) -> Fraction:
         return self.diagonal_eigenvalue(gen_l(l, l, seq, seq))
 
@@ -120,31 +98,48 @@ class Weight:
     def diagonal_eigenvalue(self, g: Generator) -> Fraction:
         """Eigenvalue of a diagonal generator on the lowest weight vector.
 
-        Free mode reads a basis-b4 generator from its table and evaluates any
-        other one through its b4 rewrite, whose terms are all diagonal b4
-        generators; af mode contracts the whole-chain table with the
-        generator's diagonal matrix elements on chains.
+        A whole-chain generator reads alpha plus its table value.  af mode
+        contracts the table with the generator's diagonal matrix elements on
+        chains; free mode reads a basis-b4 generator from the table and
+        evaluates any other one through its b4 rewrite, whose terms are all
+        diagonal b4 generators.
         """
-        if g.upper != g.lower or g.flavors[0::2] != g.flavors[1::2]:
-            raise ValueError(f"{g!r} is not diagonal")
+        _check_diagonal(g, self.params)
         if g.kind == KIND_F:
-            return self.h_I(g.flavors[0], g.upper, g.flavors[2])
+            return self.alpha + self.table.get(g, Fraction(0))
         if self.mode == "af":
             if self.alpha != 0:
-                raise DivergentSumError(
-                    "derived-table sums diverge for a nonzero constant tail"
-                )
-            return sum(
-                (v * matrix_element(g, Chain(*arg), Chain(*arg))
-                 for arg, v in self.hI_table.items()),
-                Fraction(0),
-            )
+                raise DivergentSumError("derived-table sums diverge for a nonzero constant tail")
+            chains = ((Chain(*_chain_arg(f)), v) for f, v in self.table.items())
+            return sum((v * matrix_element(g, c, c) for c, v in chains), Fraction(0))
         if in_b4(g):
-            return self._free.get(g, Fraction(0))
+            return self.table.get(g, Fraction(0))
         val = Fraction(0)
         for t, c in to_b4_gen(g, self.params):
             val += c * self.diagonal_eigenvalue(t)
         return val
+
+
+def _check_diagonal(g: Generator, params: AlgebraParams) -> None:
+    """Raise IndexRangeError unless g's indices fit params, ValueError unless g is diagonal."""
+    g.validate(params)
+    if g.upper != g.lower or g.flavors[0::2] != g.flavors[1::2]:
+        raise ValueError(f"{g!r} is not diagonal")
+
+
+def _whole_chain(l1: int, seq, l2: int) -> Generator:
+    """The diagonal whole-chain generator whose eigenvalue is the value on chain (l1, seq, l2)."""
+    return gen_f(l1, l1, l2, l2, seq, seq)
+
+
+def _chain_arg(g: Generator) -> tuple:
+    """(left flavor, body, right flavor) of the chain that whole-chain generator g reads."""
+    return (g.flavors[0], g.upper, g.flavors[2])
+
+
+def _af_part(w: Weight) -> Weight:
+    """The af weight of w's whole-chain entries (tail 0)."""
+    return Weight(w.params, table={g: v for g, v in w.table.items() if g.kind == KIND_F})
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +148,13 @@ class Weight:
 def weight_from_partition(gamma, params: AlgebraParams) -> Weight:
     """The weight of the symmetrized tensor power attached to a partition."""
     rows = partition_chains(check_partition(gamma), params)
-    table = {(c.left, c.body, c.right): Fraction(part) for c, part in rows}
-    return Weight(params, alpha=0, hI_table=table, mode="af")
+    return Weight(params, table={_whole_chain(c.left, c.body, c.right): part for c, part in rows})
 
 
 def support_frontier(w: Weight) -> int:
     """Largest position in all_chains carrying a nonzero deviation (0 if none)."""
-    return max((arg_index(arg, w.params) for arg in w.hI_table), default=0)
+    fs = (g for g in w.table if g.kind == KIND_F)
+    return max((arg_index(_chain_arg(g), w.params) for g in fs), default=0)
 
 
 def is_approximately_finite(w: Weight) -> bool:
@@ -176,10 +171,11 @@ def is_approximately_finite(w: Weight) -> bool:
     if w.mode == "af":
         return True
     # free tables must reproduce the derived sums
-    probe = Weight(w.params, alpha=0, hI_table=w.hI_table, mode="af")
+    probe = _af_part(w)
+    longest = max((len(g.upper) for g in w.table), default=0)
     return all(
         w.diagonal_eigenvalue(g) == probe.diagonal_eigenvalue(g)
-        for g in _free_args(w.params, _table_len(w))
+        for g in _free_args(w.params, longest)
     )
 
 
@@ -192,48 +188,33 @@ def _free_args(params: AlgebraParams, max_len: int):
         yield from filter(in_b4, gens)
 
 
-def _table_len(w: Weight) -> int:
-    """Length of the longest sequence in any table of w."""
-    seqs = [s for (_l1, s, _l2) in w.hI_table] + [g.upper for g in w._free]
-    return max(map(len, seqs), default=0)
-
-
-def _free_tables(values: dict) -> tuple:
-    """{diagonal generator: value} as the (hII, hIII, hIV) tables of Weight."""
-    return (
-        {(g.flavors[0], g.upper): v for g, v in values.items() if g.kind == KIND_L},
-        {(g.upper, g.flavors[0]): v for g, v in values.items() if g.kind == KIND_R},
-        {g.upper: v for g, v in values.items() if g.kind == KIND_S},
-    )
-
-
 def free_weight_from_af(af: Weight, max_len: int) -> Weight:
-    """Free-mode copy whose free tables carry the derived sums up to max_len."""
+    """Free-mode copy whose end and interior entries are the derived sums up to max_len."""
     values = {g: af.diagonal_eigenvalue(g) for g in _free_args(af.params, max_len)}
-    return Weight(af.params, 0, af.hI_table, "free", *_free_tables(values))
+    return Weight(af.params, 0, af.table | values, "free")
 
 
 def tail_parameters(w: Weight) -> tuple:
     """(tail value, least N with the whole-chain table constant from length N on)."""
-    if not w.hI_table:
-        return (w.alpha, 0)
-    return (w.alpha, 1 + max(len(s) for (_l1, s, _l2) in w.hI_table))
+    longest = max((len(g.upper) for g in w.table if g.kind == KIND_F), default=-1)
+    return (w.alpha, 1 + longest)
 
 
 def split_weight(w: Weight) -> tuple:
     """Split off the constant tail: (alpha, finite-table part, shift part).
 
-    The finite part is the af-mode weight of the deviation table; the
+    The finite part is the af-mode weight of the whole-chain entries; the
     shift part keeps the constant whole-chain value alpha and the excess
-    of the end/interior tables over the finite part's derived sums.
+    of the end/interior eigenvalues over the finite part's derived sums.
     """
-    w_af = Weight(w.params, alpha=0, hI_table=w.hI_table, mode="af")
+    w_af = _af_part(w)
     # beyond the longest table sequence both weights vanish on the free arguments
+    longest = max((len(g.upper) for g in w.table), default=0)
     shift = {
         g: w.diagonal_eigenvalue(g) - w_af.diagonal_eigenvalue(g)
-        for g in _free_args(w.params, _table_len(w))
+        for g in _free_args(w.params, longest)
     }
-    return (w.alpha, w_af, Weight(w.params, w.alpha, {}, "free", *_free_tables(shift)))
+    return (w.alpha, w_af, Weight(w.params, w.alpha, shift, "free"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,29 +234,38 @@ _WORD = (str, str)
 
 # One row per line tag, in the order the tags are written: the reader and
 # renderer of each field after the tag (the last field is the value, the ones
-# before it make the key of the tag's table), and the order of a table's keys
-# (for I, chain_sort_key).  The header tags come first.
+# before it the line's key).  A table row (I-IV) goes on with the kind of the
+# diagonal generators its lines hold, the generator a key names, the key of a
+# generator, and the order of the lines (for I, chain_sort_key).  The header
+# tags come first.
 _HEADER = ("lambda", "lambda_f", "alpha", "mode")
 _LINES = {
-    "lambda": ((_INT,), None),
-    "lambda_f": ((_INT,), None),
-    "alpha": ((_VALUE,), None),
-    "mode": ((_WORD,), None),
-    "I": ((_INT, _SEQ, _INT, _VALUE), lambda a: chain_sort_key(Chain(*a))),
-    "II": ((_INT, _SEQ, _VALUE), lambda a: (a[0], len(a[1]), a[1])),
-    "III": ((_SEQ, _INT, _VALUE), lambda a: (a[1], len(a[0]), a[0])),
-    "IV": ((_SEQ, _VALUE), lambda s: (len(s), s)),
+    "lambda": ((_INT,),),
+    "lambda_f": ((_INT,),),
+    "alpha": ((_VALUE,),),
+    "mode": ((_WORD,),),
+    "I": ((_INT, _SEQ, _INT, _VALUE), KIND_F, _whole_chain, _chain_arg,
+          lambda g: chain_sort_key(Chain(*_chain_arg(g)))),
+    "II": ((_INT, _SEQ, _VALUE), KIND_L, lambda l, seq: gen_l(l, l, seq, seq),
+           lambda g: (g.flavors[0], g.upper), lambda g: (g.flavors[0], len(g.upper), g.upper)),
+    "III": ((_SEQ, _INT, _VALUE), KIND_R, lambda seq, l: gen_r(l, l, seq, seq),
+            lambda g: (g.upper, g.flavors[0]), lambda g: (g.flavors[0], len(g.upper), g.upper)),
+    "IV": ((_SEQ, _VALUE), KIND_S, lambda seq: gen_s(seq, seq),
+           lambda g: (g.upper,), lambda g: (len(g.upper), g.upper)),
 }
 
 
 def write_weight(w: Weight) -> str:
-    header = (w.params.colors, w.params.flavors, w.alpha, w.mode)
-    tables = {tag: {(): v} for tag, v in zip(_HEADER, header)}
-    tables.update(I=w.hI_table, II=w.hII_table, III=w.hIII_table, IV=w.hIV_table)
+    header = dict(zip(_HEADER, (w.params.colors, w.params.flavors, w.alpha, w.mode)))
     lines = []
-    for tag, (fields, order) in _LINES.items():
-        for key in sorted(tables[tag], key=order):
-            values = ((key,) if len(fields) == 2 else key) + (tables[tag][key],)
+    for tag, (fields, *table) in _LINES.items():
+        if table:
+            kind, _gen, key, order = table
+            gens = sorted((g for g in w.table if g.kind == kind), key=order)
+            rows = [key(g) + (w.table[g],) for g in gens]
+        else:
+            rows = [(header[tag],)]
+        for values in rows:
             lines.append(" ".join([tag] + [out(v) for (_read, out), v in zip(fields, values)]))
     return "\n".join(lines) + "\n"
 
@@ -288,14 +278,14 @@ def read_weight(text: str) -> Weight:
         if not parts:
             continue
         tag = "lambda_f" if parts[0] == "lambda-f" else parts[0]
-        fields, _order = _LINES.get(tag, (None, None))
+        fields = _LINES.get(tag, (None,))[0]
         try:
             if fields is None or len(parts) != 1 + len(fields):
                 raise ValueError("unknown tag or wrong field count")
             values = tuple(read(p) for (read, _out), p in zip(fields, parts[1:]))
         except ValueError as exc:
             raise ValueError(f"malformed weight-file line {raw!r}") from exc
-        key = values[0] if len(values) == 2 else values[:-1]
+        key = values[:-1]
         if key in tables[tag]:
             raise ValueError(f"duplicate weight-file line {raw!r}")
         tables[tag][key] = values[-1]
@@ -305,5 +295,9 @@ def read_weight(text: str) -> Weight:
     mode = mode or "af"
     if mode == "af" and alpha:
         raise ValueError("an af-mode weight file needs alpha 0: its derived sums diverge")
-    params = AlgebraParams(colors, flavors)
-    return Weight(params, alpha or 0, tables["I"], mode, tables["II"], tables["III"], tables["IV"])
+    table = {}
+    for tag, (_fields, *row) in _LINES.items():
+        if row:
+            _kind, gen, _key, _order = row
+            table.update((gen(*key), v) for key, v in tables[tag].items())
+    return Weight(AlgebraParams(colors, flavors), alpha or 0, table, mode)

@@ -43,7 +43,7 @@ from chainalg.checks import (
     random_generator,
     suite_identities,
 )
-from chainalg.core import Generator, seq_key
+from chainalg.core import KIND_L, Generator, seq_key
 from chainalg.verma import pbw_words
 from chainalg.weights import Weight, free_weight_from_af
 from padded_sums import padded
@@ -309,15 +309,7 @@ def test_criterion_10_weight_splitting_and_norm_identity():
     p = AlgebraParams(2, 2)
     base = weight_from_partition((2, 1), p)
     fr = free_weight_from_af(base, 3)
-    shifted = Weight(
-        p,
-        alpha=2,
-        hI_table=base.hI_table,
-        mode="free",
-        hII_table={k: v + 3 for k, v in fr.hII_table.items()},
-        hIII_table=fr.hIII_table,
-        hIV_table=fr.hIV_table,
-    )
+    shifted = Weight(p, 2, {g: v + 3 * (g.kind == KIND_L) for g, v in fr.table.items()}, "free")
     for w in (fr, shifted):
         alpha, w_af, w_ti = split_weight(w)
         if not is_approximately_finite(w_af):

@@ -122,7 +122,7 @@ def test_gram_block_example():
 
 
 def test_gram_zero_weight():
-    w = Weight(P11, mode="af")
+    w = Weight(P11)
     gm = gram_matrix(w, 2)
     for i, wi in enumerate(gm.words):
         for j in range(len(gm.words)):
@@ -216,7 +216,7 @@ def test_gram_matches_hermitian_form_on_every_pair():
     # every word pair, so the cross-charge entries must come out zero
     cases = [weight_from_partition(g, p) for p in (P11, P21, P22) for g in ((1,), (2,), (1, 1))]
     cross = 0
-    for w in cases + [Weight(P11, mode="af")]:
+    for w in cases + [Weight(P11)]:
         gm = gram_matrix(w, 2)
         words = [[element(w.params, g) for g in word] for word in gm.words]
         for i, wi in enumerate(gm.words):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,28 @@ from chainalg import (
 )
 from chainalg.basis import in_b4
 from chainalg.chains import chain_sort_key
-from chainalg.core import IndexRangeError, all_seqs, gen_l, gen_r, gen_s, seq_key
+from chainalg.core import (
+    KIND_L,
+    KIND_R,
+    KIND_S,
+    IndexRangeError,
+    all_seqs,
+    gen_f,
+    gen_l,
+    gen_r,
+    gen_s,
+    seq_key,
+)
 from chainalg.weights import DivergentSumError, check_partition, free_weight_from_af
 
 P11 = AlgebraParams(1, 1)
 P21 = AlgebraParams(2, 1)
 P22 = AlgebraParams(2, 2)
+
+
+def whole(l1, seq, l2):
+    """The diagonal whole-chain generator whose eigenvalue is the value on chain (l1, seq, l2)."""
+    return gen_f(l1, l1, l2, l2, seq, seq)
 
 
 def test_argument_enumeration_anchors():
@@ -65,7 +82,7 @@ def test_weight_from_partition_tables():
     assert w.h_I(1, (), 1) == 2
     assert w.h_I(1, (1,), 1) == 1
     assert w.h_I(1, (2,), 1) == 0
-    assert weight_from_partition((), P21).hI_table == {}
+    assert weight_from_partition((), P21).table == {}
 
 
 def test_partition_validation():
@@ -85,7 +102,7 @@ def test_derived_sums_examples():
 
 
 def test_interior_sum_counts_every_occurrence():
-    w = Weight(P21, hI_table={(1, (1, 2, 1), 1): Fraction(1)}, mode="af")
+    w = Weight(P21, table={whole(1, (1, 2, 1), 1): Fraction(1)})
     # three splits produce the empty interior word with multiplicity 4
     assert w.h_IV(()) == 4
     assert w.h_IV((1,)) == 2
@@ -114,13 +131,11 @@ def test_recursions_match_derived_sums():
 
 def test_approximately_finite_examples():
     assert is_approximately_finite(weight_from_partition((2, 1), P21))
-    half = Weight(P11, hI_table={(1, (), 1): Fraction(1, 2)}, mode="af")
+    half = Weight(P11, table={whole(1, (), 1): Fraction(1, 2)})
     assert not is_approximately_finite(half)
     shifted = Weight(P11, alpha=1, mode="free")
     assert not is_approximately_finite(shifted)
-    increasing = Weight(
-        P11, hI_table={(1, (), 1): 1, (1, (1,), 1): 2}, mode="af"
-    )
+    increasing = Weight(P11, table={whole(1, (), 1): 1, whole(1, (1,), 1): 2})
     assert not is_approximately_finite(increasing)
 
 
@@ -128,16 +143,10 @@ def test_approximately_finite_free_mode_requires_sum_rules():
     af = weight_from_partition((2,), P21)
     good = free_weight_from_af(af, 3)
     assert is_approximately_finite(good)
-    tables = dict(good.hII_table)
-    tables[(1, (2,))] = tables.get((1, (2,)), Fraction(0)) + 1
-    bad = Weight(
-        P21,
-        hI_table=af.hI_table,
-        mode="free",
-        hII_table=tables,
-        hIII_table=good.hIII_table,
-        hIV_table=good.hIV_table,
-    )
+    table = dict(good.table)
+    g = gen_l(1, 1, (2,), (2,))
+    table[g] = table.get(g, Fraction(0)) + 1
+    bad = Weight(P21, 0, table, "free")
     assert not is_approximately_finite(bad)
 
 
@@ -151,7 +160,7 @@ def test_split_weight_constant():
     w = Weight(P21, alpha=1, mode="free")
     alpha, w_af, w_ti = split_weight(w)
     assert alpha == 1
-    assert not w_af.hI_table
+    assert not w_af.table
     assert w_ti.h_I(1, (2,), 1) == 1
     assert w_ti.h_II(1, ()) == 0
 
@@ -161,22 +170,14 @@ def test_split_weight_af_input_has_zero_shift():
     fr = free_weight_from_af(base, 3)
     alpha, w_af, w_ti = split_weight(fr)
     assert alpha == 0
-    assert w_af.hI_table == base.hI_table
-    assert not (w_ti.hII_table or w_ti.hIII_table or w_ti.hIV_table)
+    assert w_af.table == base.table
+    assert not w_ti.table
 
 
 def test_split_weight_reassembles():
     base = weight_from_partition((2, 1), P22)
     fr = free_weight_from_af(base, 3)
-    w = Weight(
-        P22,
-        alpha=2,
-        hI_table=base.hI_table,
-        mode="free",
-        hII_table={k: v + 1 for k, v in fr.hII_table.items()},
-        hIII_table=fr.hIII_table,
-        hIV_table=fr.hIV_table,
-    )
+    w = Weight(P22, 2, {g: v + (g.kind == KIND_L) for g, v in fr.table.items()}, "free")
     alpha, w_af, w_ti = split_weight(w)
     assert alpha == 2
     for n in range(3):
@@ -220,10 +221,7 @@ def test_weight_file_roundtrip():
         assert back.params == w.params
         assert back.mode == w.mode
         assert back.alpha == w.alpha
-        assert back.hI_table == w.hI_table
-        assert back.hII_table == w.hII_table
-        assert back.hIII_table == w.hIII_table
-        assert back.hIV_table == w.hIV_table
+        assert back.table == w.table
 
 
 def test_weight_file_rejects_bad_indices_and_duplicates():
@@ -238,17 +236,25 @@ def test_weight_file_rejects_bad_indices_and_duplicates():
         read_weight(head + "lambda 3\n")
 
 
-def test_free_tables_reject_arguments_outside_b4():
-    # l(1,1)[1|1], r(1,1)[|] and s[1|1] are not in b4: their values are derived
+def test_weight_table_rejects_bad_entries():
+    af_only = "af mode derives the end and interior tables"
+    outside_b4 = "is outside basis b4"
     cases = (
-        ({"hII_table": {(1, (1,)): 5}}, "l(1,1)[1|1]"),
-        ({"hIII_table": {((), 1): 7}}, "r(1,1)[|]"),
-        ({"hIV_table": {(1,): 4}}, "s[1|1]"),
+        ("af", gen_f(1, 1, 1, 1, (1,), (2,)), ValueError, "f(1,1;1,1)[1|2] is not diagonal"),
+        ("free", gen_l(1, 1, (2,), ()), ValueError, "l(1,1)[2|] is not diagonal"),
+        ("af", gen_l(1, 1, (), ()), ValueError, af_only),
+        ("af", gen_r(1, 1, (2,), (2,)), ValueError, af_only),
+        ("af", gen_s((), ()), ValueError, af_only),
+        ("af", whole(1, (3,), 1), IndexRangeError, "color index 3 out of range 1..2"),
+        ("free", gen_l(2, 2, (), ()), IndexRangeError, "flavor index 2 out of range 1..1"),
+        # l(1,1)[1|1], r(1,1)[|] and s[1|1] are not in b4: their values are derived
+        ("free", gen_l(1, 1, (1,), (1,)), ValueError, f"entry l(1,1)[1|1] {outside_b4}"),
+        ("free", gen_r(1, 1, (), ()), ValueError, f"entry r(1,1)[|] {outside_b4}"),
+        ("free", gen_s((1,), (1,)), ValueError, f"entry s[1|1] {outside_b4}"),
     )
-    for tables, name in cases:
-        with pytest.raises(ValueError, match="outside basis b4") as err:
-            Weight(P21, mode="free", **tables)
-        assert name in str(err.value)
+    for mode, g, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            Weight(P21, 0, {g: 5}, mode)
     head = "lambda 2\nlambda_f 1\nmode free\n"
     for line in ("IV [1] 4\n", "III [] 1 7\n", "II 1 [2,1] 1\n"):
         with pytest.raises(ValueError, match="outside basis b4"):
@@ -256,6 +262,23 @@ def test_free_tables_reject_arguments_outside_b4():
     # the same arguments stay usable as derived values, and b4 entries are stored
     w = read_weight(head + "II 1 [2] 3\nIII [2] 1 1\nIV [2] 1\n")
     assert w.h_II(1, (2,)) == 3 and w.h_III((2,), 1) == 1 and w.h_IV((2,)) == 1
+    # a one-entry tail: the length counter s[|] alone
+    c = Fraction(7, 3)
+    assert Weight(P11, 0, {gen_s((), ()): c}, "free").h_IV(()) == c
+
+
+def test_eigenvalue_queries_outside_the_parameters_raise():
+    af = weight_from_partition((2, 1), P21)
+    for w in (af, free_weight_from_af(af, 2)):
+        probes = (
+            lambda: w.h_I(1, (7,), 1),
+            lambda: w.h_IV((9,)),
+            lambda: w.h_II(4, ()),
+            lambda: w.diagonal_eigenvalue(gen_s((0,), (0,))),
+        )
+        for probe in probes:
+            with pytest.raises(IndexRangeError):
+                probe()
 
 
 def test_weight_file_errors():
@@ -281,25 +304,24 @@ def _random_free_weight(rng, params):
 
     seqs = list(all_seqs(params, 3))
     fl = list(params.flavor_range())
-    tI = {(rng.choice(fl), rng.choice(seqs), rng.choice(fl)): value() for _ in range(3)}
-    tII, tIII, tIV = {}, {}, {}
+    table = {whole(rng.choice(fl), rng.choice(seqs), rng.choice(fl)): value() for _ in range(3)}
     for seq in seqs:
         for l in fl:
-            if in_b4(gen_l(l, l, seq, seq)) and rng.random() < 0.5:
-                tII[(l, seq)] = value()
-            if in_b4(gen_r(l, l, seq, seq)) and rng.random() < 0.5:
-                tIII[(seq, l)] = value()
+            for g in (gen_l(l, l, seq, seq), gen_r(l, l, seq, seq)):
+                if in_b4(g) and rng.random() < 0.5:
+                    table[g] = value()
         if in_b4(gen_s(seq, seq)) and rng.random() < 0.5:
-            tIV[seq] = value()
-    return Weight(
-        params,
-        alpha=value(),
-        hI_table=tI,
-        mode="free",
-        hII_table=tII,
-        hIII_table=tIII,
-        hIV_table=tIV,
-    )
+            table[gen_s(seq, seq)] = value()
+    return Weight(params, value(), table, "free")
+
+
+def _shift_tables(w):
+    """w's l, r and s entries, keyed by the fields of II, III and IV weight-file lines."""
+    return {
+        "hII_table": {(g.flavors[0], g.upper): v for g, v in w.table.items() if g.kind == KIND_L},
+        "hIII_table": {(g.upper, g.flavors[0]): v for g, v in w.table.items() if g.kind == KIND_R},
+        "hIV_table": {g.upper: v for g, v in w.table.items() if g.kind == KIND_S},
+    }
 
 
 def _free_golden_lines():
@@ -315,36 +337,21 @@ def _free_golden_lines():
                     lines.append(f"{tag} {k} III {seq} {l} {w.h_III(seq, l)}")
                 lines.append(f"{tag} {k} IV {seq} {w.h_IV(seq)}")
             _alpha, _w_af, w_ti = split_weight(w)
-            for name in ("hII_table", "hIII_table", "hIV_table"):
-                lines.append(f"{tag} {k} shift {name} {sorted(getattr(w_ti, name).items())}")
+            for name, shift in _shift_tables(w_ti).items():
+                lines.append(f"{tag} {k} shift {name} {sorted(shift.items())}")
             for seq in all_seqs(params, 3):
                 lines.append(f"{tag} {k} shift IV {seq} {w_ti.h_IV(seq)}")
             lines.append(f"{tag} {k} af {is_approximately_finite(w)}")
             # the same tables with alpha 0, and an af-consistent weight before and
             # after one free entry is changed, reach the sum-rule comparison
-            zero = Weight(
-                params,
-                alpha=0,
-                hI_table=w.hI_table,
-                mode="free",
-                hII_table=w.hII_table,
-                hIII_table=w.hIII_table,
-                hIV_table=w.hIV_table,
-            )
+            zero = Weight(params, 0, w.table, "free")
             lines.append(f"{tag} {k} af0 {is_approximately_finite(zero)}")
             good = free_weight_from_af(weight_from_partition((k + 2, 1), params), 3)
             lines.append(f"{tag} {k} good {is_approximately_finite(good)}")
-            tIV = dict(good.hIV_table)
-            seq = rng.choice(sorted(tIV, key=seq_key))
-            tIV[seq] += 1
-            bad = Weight(
-                params,
-                hI_table=good.hI_table,
-                mode="free",
-                hII_table=good.hII_table,
-                hIII_table=good.hIII_table,
-                hIV_table=tIV,
-            )
+            table = dict(good.table)
+            seq = rng.choice(sorted((g.upper for g in table if g.kind == KIND_S), key=seq_key))
+            table[gen_s(seq, seq)] += 1
+            bad = Weight(params, 0, table, "free")
             lines.append(f"{tag} {k} bad {seq} {is_approximately_finite(bad)}")
     return lines
 
@@ -361,9 +368,9 @@ def _random_af_weight(rng, params):
     fl = list(params.flavor_range())
     table = {}
     for _ in range(rng.randint(1, 5)):
-        arg = (rng.choice(fl), rng.choice(seqs), rng.choice(fl))
-        table[arg] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-    return Weight(params, alpha=0, hI_table=table, mode="af")
+        g = whole(rng.choice(fl), rng.choice(seqs), rng.choice(fl))
+        table[g] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return Weight(params, table=table)
 
 
 def test_af_mode_values_golden():
@@ -383,7 +390,7 @@ def test_af_mode_values_golden():
                     lines.append(f"{tag} {k} III {seq} {l} {w.h_III(seq, l)}")
                 lines.append(f"{tag} {k} IV {seq} {w.h_IV(seq)}")
         # a nonzero constant tail makes every derived sum diverge
-        tail = Weight(params, alpha=1, hI_table=weights[-1].hI_table, mode="af")
+        tail = Weight(params, 1, weights[-1].table)
         for probe in (lambda: tail.h_II(1, ()), lambda: tail.h_III((1,), 1), lambda: tail.h_IV(())):
             with pytest.raises(DivergentSumError):
                 probe()
